@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -38,34 +39,39 @@ def _out_dir(args) -> Path:
     return path
 
 
+def _experiment_out_dir(args, cfg: experiment.ExperimentConfig) -> Path:
+    return _out_dir(argparse.Namespace(out_dir=args.out_dir or cfg.out_dir))
+
+
+def _positive_finite(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
+# CLI flags whose names differ from the TrainConfig field they set.
+_TRAIN_FLAG_NAMES = {"loss_kind": "--loss", "kkt_residual_target": "--kkt-target",
+                     "rng_seed": "--seed"}
+
+
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--width", type=int, default=64)
-    p.add_argument("--loss", choices=training.LOSS_KINDS, default="exponential")
-    p.add_argument("--init-scale", type=float, default=1e-4)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--lr-growth", type=float, default=1.02)
-    p.add_argument("--max-steps", type=int, default=4000)
-    p.add_argument("--loss-target", type=float, default=1e-5)
-    p.add_argument("--kkt-target", type=float, default=5e-3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--checkpoint-every", type=int, default=100)
-    p.add_argument("--ensure-active-neuron", action="store_true")
+    # One flag per TrainConfig field, defaulting to the field's default.
+    for f in dataclasses.fields(training.TrainConfig):
+        flag = _TRAIN_FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
+        if f.name == "width":
+            p.add_argument(flag, type=int, default=64)
+        elif f.name == "loss_kind":
+            p.add_argument(flag, dest=f.name, choices=training.LOSS_KINDS, default=f.default)
+        elif isinstance(f.default, bool):
+            p.add_argument(flag, dest=f.name, action="store_true")
+        else:
+            p.add_argument(flag, dest=f.name, type=type(f.default), default=f.default)
 
 
 def _train_config(args) -> training.TrainConfig:
-    return training.TrainConfig(
-        width=args.width,
-        loss_kind=args.loss,
-        init_scale=args.init_scale,
-        learning_rate=args.learning_rate,
-        lr_growth=args.lr_growth,
-        max_steps=args.max_steps,
-        loss_target=args.loss_target,
-        kkt_residual_target=args.kkt_target,
-        rng_seed=args.seed,
-        checkpoint_every=args.checkpoint_every,
-        ensure_active_neuron=args.ensure_active_neuron,
-    )
+    fields = dataclasses.fields(training.TrainConfig)
+    return training.TrainConfig(**{f.name: getattr(args, f.name) for f in fields})
 
 
 def _cmd_train(args) -> int:
@@ -151,19 +157,13 @@ def _cmd_attack_membership(args) -> int:
             "attack membership needs --scores, or --model with --points"
         )
 
-    if args.rule == "known-margin":
-        if args.margin is None:
-            raise FileFormatError("known-margin rule needs --margin")
-        threshold, comparison = args.margin / 2.0, "ge"
-    elif args.rule == "bounded-margin":
-        if args.threshold is None:
-            raise FileFormatError("bounded-margin rule needs --threshold")
-        threshold, comparison = args.threshold, "gt"
-    else:  # leaked-points
-        alpha = max(s for _, s in scored)
-        if alpha == 0.0:
-            raise MarginLeakError("all scores are zero; leaked-points rule undefined")
-        threshold, comparison = alpha / 2.0, "ge"
+    try:
+        threshold, comparison = membership._rule_threshold(
+            args.rule, margin=args.margin, threshold=args.threshold,
+            scores=[s for _, s in scored],
+        )
+    except ValueError as exc:
+        raise FileFormatError(str(exc)) from exc
 
     out_path = Path(args.out) if args.out else _out_dir(args) / "verdicts.csv"
     with out_path.open("w", newline="") as fh:
@@ -171,7 +171,7 @@ def _cmd_attack_membership(args) -> int:
         writer.writerow(["point_id", "score", "verdict", "rule", "threshold"])
         n_members = 0
         for pid, score in scored:
-            member = score >= threshold if comparison == "ge" else score > threshold
+            member = membership._decide(score, threshold, comparison)
             n_members += member
             writer.writerow([pid, repr(score), int(member), args.rule, repr(threshold)])
     print(
@@ -205,10 +205,7 @@ def _cmd_check_dist(args) -> int:
 
 def _cmd_experiment_margin(args) -> int:
     cfg = experiment.config_from_file(args.config)
-    out = Path(args.out_dir) if args.out_dir else (
-        cfg.out_dir or _out_dir(argparse.Namespace(out_dir=None))
-    )
-    out.mkdir(parents=True, exist_ok=True)
+    out = _experiment_out_dir(args, cfg)
     t0 = time.perf_counter()
     result = experiment.run_margin_experiment(cfg, log=print)
     meta = (
@@ -226,10 +223,7 @@ def _cmd_experiment_margin(args) -> int:
 
 def _cmd_experiment_reconstruct(args) -> int:
     cfg = experiment.config_from_file(args.config, overrides={"dims": (1,)})
-    out = Path(args.out_dir) if args.out_dir else (
-        cfg.out_dir or _out_dir(argparse.Namespace(out_dir=None))
-    )
-    out.mkdir(parents=True, exist_ok=True)
+    out = _experiment_out_dir(args, cfg)
     t0 = time.perf_counter()
     reports = experiment.run_reconstruction_sweep(cfg, log=print)
     meta = (
@@ -248,12 +242,7 @@ def _cmd_experiment_reconstruct(args) -> int:
 
 def _cmd_sample_dataset(args) -> int:
     # Convenience for producing CLI inputs: sample a labeled mixture dataset.
-    from .distributions import label_by_component, two_gaussian_mixture
-    from .model import LabeledDataset
-
-    spec = two_gaussian_mixture(args.dim, args.mean_coord, rng_seed=args.seed)
-    batch = sample(spec, args.n)
-    data = LabeledDataset(batch.points, label_by_component(batch.components))
+    data = experiment._sample_labeled(args.dim, args.n, args.mean_coord, args.seed)
     out_path = Path(args.out) if args.out else _out_dir(args) / "dataset.csv"
     write_dataset_csv(data, out_path)
     print(f"wrote {out_path}")
@@ -289,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = attack_sub.add_parser("reconstruct", help="univariate candidate-set attack")
     p.add_argument("--model", required=True)
-    p.add_argument("--margin", type=float)
+    p.add_argument("--margin", type=_positive_finite)
     p.add_argument("--data", help="derive the margin from this dataset instead")
     p.add_argument("--out")
     p.add_argument("--out-dir")
@@ -300,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model")
     p.add_argument("--points", help="dataset CSV of query points")
     p.add_argument("--scores", help="CSV point_id,score of precomputed scores")
-    p.add_argument("--margin", type=float)
-    p.add_argument("--threshold", type=float)
+    p.add_argument("--margin", type=_positive_finite)
+    p.add_argument("--threshold", type=_positive_finite)
     p.add_argument("--out")
     p.add_argument("--out-dir")
     p.set_defaults(func=_cmd_attack_membership)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -305,38 +305,24 @@ def run_reconstruction_pipeline(
     true_points = tuple(float(x) for x in data.points[:, 0])
     final = trace.final()
 
-    if data.size == 1 and cfg.train.width == 1:
-        x_hat = reconstruct.recover_single(net, m)
-        candidates = reconstruct.CandidateSet((x_hat,), ("crossing",))
-        n_matched = match_candidates(candidates.points, true_points)
-        return ReconstructionReport(
-            seed=seed,
-            candidates=candidates,
-            true_points=true_points,
-            n_matched=n_matched,
-            matched_fraction=n_matched / 1.0,
-            margin=m,
-            final_loss=final.loss,
-            kkt_residual=final.kkt_residual,
-            used_single_recovery=True,
-            retries=retries,
-            degenerate=False,
+    single = data.size == 1 and cfg.train.width == 1
+    if single:
+        candidates = reconstruct.CandidateSet(
+            (reconstruct.recover_single(net, m),), ("crossing",)
         )
-
-    pl = to_piecewise_linear(net)
-    candidates = reconstruct.build_candidate_set(pl, m)
+    else:
+        candidates = reconstruct.build_candidate_set(to_piecewise_linear(net), m)
     n_matched = match_candidates(candidates.points, true_points)
-    frac = n_matched / len(candidates) if len(candidates) else 0.0
     return ReconstructionReport(
         seed=seed,
         candidates=candidates,
         true_points=true_points,
         n_matched=n_matched,
-        matched_fraction=frac,
+        matched_fraction=n_matched / len(candidates) if len(candidates) else 0.0,
         margin=m,
         final_loss=final.loss,
         kkt_residual=final.kkt_residual,
-        used_single_recovery=False,
+        used_single_recovery=single,
         retries=retries,
         degenerate=candidates.degenerate,
     )
@@ -485,25 +471,14 @@ def config_from_file(path, overrides: dict | None = None) -> ExperimentConfig:
     if "width" not in values:
         raise FileFormatError("config must set width")
 
-    train_kwargs = {"width": values["width"]}
-    for key in ("loss_kind", "init_scale", "learning_rate", "lr_growth", "max_steps",
-                "loss_target", "kkt_residual_target", "checkpoint_every",
-                "ensure_active_neuron"):
-        if key in values:
-            train_kwargs[key] = values[key]
+    # Keys are either TrainConfig or ExperimentConfig fields; only the keys
+    # present are passed, so each dataclass keeps its own defaults.
+    train_keys = {f.name for f in fields(training.TrainConfig)}
+    train_kwargs = {k: v for k, v in values.items() if k in train_keys}
+    exp_kwargs = {k: v for k, v in values.items() if k not in train_keys}
+    if "out_dir" in exp_kwargs:
+        exp_kwargs["out_dir"] = Path(exp_kwargs["out_dir"])
     try:
-        train_cfg = training.TrainConfig(**train_kwargs)
-        return ExperimentConfig(
-            dims=values["dims"],
-            seeds=values["seeds"],
-            train=train_cfg,
-            n_train=values.get("n_train", 20),
-            n_test=values.get("n_test", 1000),
-            margin_slack=values.get("margin_slack", 0.1),
-            mixture_mean_coord=values.get("mixture_mean_coord", 1.0),
-            recon_data_scheme=values.get("recon_data_scheme", "uniform-random"),
-            recon_require_convergence=values.get("recon_require_convergence", False),
-            out_dir=Path(values["out_dir"]) if "out_dir" in values else None,
-        )
+        return ExperimentConfig(train=training.TrainConfig(**train_kwargs), **exp_kwargs)
     except ValueError as exc:
         raise FileFormatError(f"invalid config: {exc}") from exc

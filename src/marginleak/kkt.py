@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import training
 from .errors import DegenerateNetworkError
-from .model import LabeledDataset, NetworkParams, forward_batch
+from .model import LabeledDataset, NetworkParams, _forward_arrays, forward_batch
 from .nnls import nnls_normal
 
 REPORT_FORMAT_VERSION = 1
@@ -84,28 +85,35 @@ def margin(net: NetworkParams, data: LabeledDataset) -> tuple[float, tuple[int, 
     Raises :class:`DegenerateNetworkError` if the network outputs zero on
     every point.
     """
-    a = np.abs(forward_batch(net, data.points))
-    if float(np.max(a)) == 0.0:
-        raise DegenerateNetworkError("network output is zero on every point")
-    m = float(np.min(a))
+    a, m = _abs_and_margin(forward_batch(net, data.points))
     idx = np.nonzero(a - m <= ARGMIN_REL_SLACK * m)[0]
     return m, tuple(int(i) for i in idx)
 
 
-def _gradient_column(net: NetworkParams, x: np.ndarray, sigma_row: np.ndarray,
-                     act_row: np.ndarray) -> np.ndarray:
-    sv = net.out_weights * sigma_row
-    return np.concatenate([np.outer(sv, x).ravel(), sv, act_row])
+def _abs_and_margin(out: np.ndarray) -> tuple[np.ndarray, float]:
+    a = np.abs(out)
+    if float(np.max(a)) == 0.0:
+        raise DegenerateNetworkError("network output is zero on every point")
+    return a, float(np.min(a))
+
+
+def _gradient_matrix(net: NetworkParams, s_x: np.ndarray, s_y: np.ndarray,
+                     s_sigma: np.ndarray, s_act: np.ndarray) -> np.ndarray:
+    """Columns y_i grad Phi(x_i), laid out like the parameter vector."""
+    cols = []
+    for x, y, sigma_row, act_row in zip(s_x, s_y, s_sigma, s_act):
+        sv = net.out_weights * sigma_row
+        cols.append(y * np.concatenate([np.outer(sv, x).ravel(), sv, act_row]))
+    return np.column_stack(cols)
 
 
 def _refine_kink_subgradients(
     net: NetworkParams,
-    xs: np.ndarray,
+    s_x: np.ndarray,
     s_y: np.ndarray,
-    idx: np.ndarray,
     sigma_work: np.ndarray,
     kink: np.ndarray,
-    act: np.ndarray,
+    s_act: np.ndarray,
     theta: np.ndarray,
 ) -> tuple[np.ndarray, float]:
     """Alternate between the dual NNLS and per-neuron kink subgradients.
@@ -116,15 +124,10 @@ def _refine_kink_subgradients(
     """
     theta_norm = float(np.linalg.norm(theta))
     v = net.out_weights
-    lam = np.zeros(idx.size)
+    lam = np.zeros(s_y.size)
     residual = 1.0
     for _ in range(_REFINE_MAX_PASSES):
-        cols = np.column_stack(
-            [
-                s_y[t] * _gradient_column(net, xs[i], sigma_work[t], act[i])
-                for t, i in enumerate(idx)
-            ]
-        )
+        cols = _gradient_matrix(net, s_x, s_y, sigma_work, s_act)
         lam = nnls_normal(cols.T @ cols, cols.T @ theta)
         new_residual = float(np.linalg.norm(theta - cols @ lam)) / theta_norm
         converged = new_residual >= residual * (1.0 - 1e-3)
@@ -137,12 +140,12 @@ def _refine_kink_subgradients(
                 continue
             target = np.concatenate([net.weights[j], [net.biases[j]]]) / v[j]
             fixed = np.zeros(net.input_dim + 1)
-            for t, i in enumerate(idx):
+            for t, x in enumerate(s_x):
                 if kink[t, j]:
                     continue
-                fixed += lam[t] * s_y[t] * sigma_work[t, j] * np.append(xs[i], 1.0)
+                fixed += lam[t] * s_y[t] * sigma_work[t, j] * np.append(x, 1.0)
             basis = np.column_stack(
-                [lam[t] * s_y[t] * np.append(xs[idx[t]], 1.0) for t in rows]
+                [lam[t] * s_y[t] * np.append(s_x[t], 1.0) for t in rows]
             )
             sol, *_ = np.linalg.lstsq(basis, target - fixed, rcond=None)
             sigma_work[rows, j] = np.clip(sol, 0.0, 1.0)
@@ -163,15 +166,9 @@ def estimate_lambdas(
     convention regardless of any kink refinement.
     """
     xs, ys = data.points, data.labels
-    pre = xs @ net.weights.T + net.biases
-    act = np.maximum(pre, 0.0)
-    out = act @ net.out_weights
+    pre, act, out = _forward_arrays(xs, net.weights, net.biases, net.out_weights)
     sigma = (pre > 0.0)
-
-    a = np.abs(out)
-    if float(np.max(a)) == 0.0:
-        raise DegenerateNetworkError("network output is zero on every point")
-    m = float(np.min(a))
+    _, m = _abs_and_margin(out)
 
     support = np.abs(ys * out - m) <= support_slack * m
     sigma_int = sigma.astype(np.int8)
@@ -180,6 +177,7 @@ def estimate_lambdas(
         return KktReport(m, (), lambdas, 1.0, sigma_int)
 
     idx = np.nonzero(support)[0]
+    s_x = xs[idx]
     s_sigma = sigma[idx].astype(float)
     s_act = act[idx]
     s_y = ys[idx]
@@ -187,7 +185,7 @@ def estimate_lambdas(
     v2 = v * v
 
     # <g_i, g_l> = sum_j v_j^2 s_ij s_lj (x_i.x_l + 1) + sum_j act_ij act_lj
-    inner_x = xs[idx] @ xs[idx].T + 1.0
+    inner_x = s_x @ s_x.T + 1.0
     gram_g = ((s_sigma * v2) @ s_sigma.T) * inner_x + s_act @ s_act.T
     # <g_i, theta> = 2 sum_j v_j act_ij  (sigma' * pre == act for strict sigma')
     rhs_g = 2.0 * s_act @ v
@@ -200,12 +198,7 @@ def estimate_lambdas(
     theta_norm = float(np.linalg.norm(theta))
     materializable = idx.size * theta.size <= _MATERIALIZE_LIMIT
     if materializable:
-        cols = np.column_stack(
-            [
-                s_y[t] * _gradient_column(net, xs[i], s_sigma[t], s_act[t])
-                for t, i in enumerate(idx)
-            ]
-        )
+        cols = _gradient_matrix(net, s_x, s_y, s_sigma, s_act)
         residual = float(np.linalg.norm(theta - cols @ lam)) / theta_norm
     else:
         res_sq = theta_norm**2 - 2.0 * lam @ rhs + lam @ gram @ lam
@@ -215,23 +208,13 @@ def estimate_lambdas(
     kink = np.abs(pre[idx]) <= KINK_REL_TOL * kink_scale
     if materializable and kink.any():
         lam_ref, res_ref = _refine_kink_subgradients(
-            net, xs, s_y, idx, s_sigma.copy(), kink, act, theta
+            net, s_x, s_y, s_sigma.copy(), kink, s_act, theta
         )
         if res_ref <= residual:
             lam, residual = lam_ref, res_ref
 
     lambdas[idx] = lam
     return KktReport(m, tuple(int(i) for i in idx), lambdas, residual, sigma_int)
-
-
-def _mean_loss(net: NetworkParams, data: LabeledDataset, kind: str) -> float:
-    z = data.labels * forward_batch(net, data.points)
-    if kind == "exponential":
-        with np.errstate(over="ignore"):
-            return float(np.mean(np.exp(-z)))
-    if kind == "logistic":
-        return float(np.mean(np.logaddexp(0.0, -z)))
-    raise ValueError(f"unknown loss kind {kind!r}")
 
 
 def diagnostic_bounds(
@@ -290,7 +273,7 @@ def diagnostic_bounds(
                 lower_ok = False
                 break
 
-    loss_value = _mean_loss(net, data, loss_kind)
+    loss_value = training.loss(net, data, loss_kind)
     margin_lower_ok = not (loss_value < 1.0 / (2.0 * math.e)) or (
         report.margin > 1.0 / math.e
     )
@@ -334,20 +317,8 @@ def write_report(report: KktReport, path) -> None:
         "sigma_primes": report.sigma_primes.tolist(),
     }
     if report.diagnostics is not None:
-        d = report.diagnostics
         doc["diagnostics"] = {
-            "max_abs_inner": d.max_abs_inner,
-            "delta_defined": d.delta_defined,
-            "min_sq_norm": d.min_sq_norm,
-            "max_sq_norm": d.max_sq_norm,
-            "bound_denominator_positive": d.bound_denominator_positive,
-            "upper_bound": d.upper_bound,
-            "lower_bound": d.lower_bound,
-            "pos_sums": [float(x) for x in d.pos_sums],
-            "neg_sums": [float(x) for x in d.neg_sums],
-            "upper_bound_ok": d.upper_bound_ok,
-            "lower_bound_ok": d.lower_bound_ok,
-            "loss_value": d.loss_value,
-            "margin_lower_ok": d.margin_lower_ok,
+            k: v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in asdict(report.diagnostics).items()
         }
     Path(path).write_text(json.dumps(doc, indent=1, allow_nan=True) + "\n")

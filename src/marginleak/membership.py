@@ -9,6 +9,7 @@ work black-box.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,17 +73,42 @@ def _decide(score: float, threshold: float, comparison: str) -> bool:
     return score >= threshold if comparison == "ge" else score > threshold
 
 
+def _rule_threshold(
+    rule: str, *, margin=None, threshold=None, scores=None
+) -> tuple[float, str]:
+    """(threshold, comparison) of a rule; a margin or threshold must be positive
+    and finite.  leaked-points thresholds at half the maximum of ``scores``.
+    """
+    if rule == "known-margin":
+        if margin is None or not 0.0 < margin < math.inf:
+            raise ValueError("known-margin rule needs a positive, finite margin")
+        return margin / 2.0, "ge"
+    if rule == "bounded-margin":
+        if threshold is None or not 0.0 < threshold < math.inf:
+            raise ValueError("bounded-margin rule needs a positive, finite threshold")
+        return threshold, "gt"
+    if rule == "leaked-points":
+        alpha = float(np.max(scores))
+        if alpha == 0.0:
+            raise DegenerateNetworkError(
+                "all leaked-point scores are zero; the membership promise cannot hold"
+            )
+        return alpha / 2.0, "ge"
+    raise ValueError(f"rule must be one of {RULES}")
+
+
+def _verdict(score: float, rule: str, threshold: float, comparison: str) -> MembershipVerdict:
+    return MembershipVerdict(score, _decide(score, threshold, comparison), rule,
+                             threshold, comparison)
+
+
 def attack_known_margin(net: NetworkParams, m: float, x) -> MembershipVerdict:
     """Member iff |Phi(x)| >= m / 2 (a fresh point falls below m/2 w.h.p.).
 
     The tie at exactly m/2 counts as a member.
     """
-    if m <= 0:
-        raise ValueError("margin must be positive")
-    score = membership_score(net, x)
-    threshold = m / 2.0
-    return MembershipVerdict(score, _decide(score, threshold, "ge"),
-                             "known-margin", threshold, "ge")
+    cut = _rule_threshold("known-margin", margin=m)
+    return _verdict(membership_score(net, x), "known-margin", *cut)
 
 
 def attack_leaked_points(net: NetworkParams, zs: np.ndarray) -> list[MembershipVerdict]:
@@ -95,26 +121,14 @@ def attack_leaked_points(net: NetworkParams, zs: np.ndarray) -> list[MembershipV
     if zs.ndim != 2 or zs.shape[0] < 1:
         raise ValueError("zs must be a nonempty (k, d) array")
     scores = membership_scores(net, zs)
-    alpha = float(np.max(scores))
-    if alpha == 0.0:
-        raise DegenerateNetworkError(
-            "all leaked-point scores are zero; the membership promise cannot hold"
-        )
-    threshold = alpha / 2.0
-    return [
-        MembershipVerdict(float(s), _decide(float(s), threshold, "ge"),
-                          "leaked-points", threshold, "ge")
-        for s in scores
-    ]
+    cut = _rule_threshold("leaked-points", scores=scores)
+    return [_verdict(float(s), "leaked-points", *cut) for s in scores]
 
 
 def attack_bounded_margin(net: NetworkParams, c: float, x) -> MembershipVerdict:
     """Member iff |Phi(x)| > C, strictly, for a known lower bound C < m."""
-    if c <= 0:
-        raise ValueError("the margin lower bound C must be positive")
-    score = membership_score(net, x)
-    return MembershipVerdict(score, _decide(score, c, "gt"),
-                             "bounded-margin", c, "gt")
+    cut = _rule_threshold("bounded-margin", threshold=c)
+    return _verdict(membership_score(net, x), "bounded-margin", *cut)
 
 
 def _averaged_ranks(values: np.ndarray) -> np.ndarray:
@@ -156,8 +170,6 @@ def evaluate_attack(
     ``margin``; bounded-margin needs ``threshold``; leaked-points derives its
     threshold from the pooled maximum score (the members supply the promise).
     """
-    if rule not in RULES:
-        raise ValueError(f"rule must be one of {RULES}")
     members = np.asarray(members, dtype=float)
     fresh = np.asarray(fresh, dtype=float)
     if members.ndim != 2 or fresh.ndim != 2 or members.shape[0] < 1 or fresh.shape[0] < 1:
@@ -165,20 +177,10 @@ def evaluate_attack(
 
     m_scores = membership_scores(net, members)
     f_scores = membership_scores(net, fresh)
-
-    if rule == "known-margin":
-        if margin is None or margin <= 0:
-            raise ValueError("known-margin rule needs a positive margin")
-        thr, cmp = margin / 2.0, "ge"
-    elif rule == "bounded-margin":
-        if threshold is None or threshold <= 0:
-            raise ValueError("bounded-margin rule needs a positive threshold")
-        thr, cmp = threshold, "gt"
-    else:  # leaked-points
-        alpha = float(max(np.max(m_scores), np.max(f_scores)))
-        if alpha == 0.0:
-            raise DegenerateNetworkError("all scores are zero")
-        thr, cmp = alpha / 2.0, "ge"
+    thr, cmp = _rule_threshold(
+        rule, margin=margin, threshold=threshold,
+        scores=np.concatenate([m_scores, f_scores]),
+    )
 
     rows = []
     tp = fp = tn = fn = 0

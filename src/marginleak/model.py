@@ -158,15 +158,27 @@ def forward(net: NetworkParams, x) -> float:
     return float(np.maximum(pre, 0.0) @ net.out_weights)
 
 
-def forward_batch(net: NetworkParams, xs: np.ndarray) -> np.ndarray:
-    """Evaluate the network at every row of ``xs`` (shape (n, d))."""
+def _check_inputs(net: NetworkParams, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != net.input_dim:
         raise DimensionMismatchError(
             f"inputs have shape {xs.shape}, network expects (n, {net.input_dim})"
         )
-    pre = xs @ net.weights.T + net.biases
-    return np.maximum(pre, 0.0) @ net.out_weights
+    return xs
+
+
+def _forward_arrays(xs, weights, biases, out_weights):
+    # (pre-activations, activations, outputs).  No validation: the training
+    # loop calls this on raw parameter arrays at every step.
+    pre = xs @ weights.T + biases
+    act = np.maximum(pre, 0.0)
+    return pre, act, act @ out_weights
+
+
+def forward_batch(net: NetworkParams, xs: np.ndarray) -> np.ndarray:
+    """Evaluate the network at every row of ``xs`` (shape (n, d))."""
+    xs = _check_inputs(net, xs)
+    return _forward_arrays(xs, net.weights, net.biases, net.out_weights)[2]
 
 
 def _require_univariate(net: NetworkParams) -> None:

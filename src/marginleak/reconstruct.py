@@ -10,6 +10,7 @@ the stationarity and local-optimality premises).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,8 +79,8 @@ def recover_single(net: NetworkParams, m: float) -> float:
     """
     if net.input_dim != 1 or net.width != 1:
         raise DimensionMismatchError("recover_single needs input_dim=1 and width=1")
-    if m <= 0:
-        raise ValueError("margin must be positive")
+    if not 0.0 < m < math.inf:
+        raise ValueError("margin must be positive and finite")
     w = float(net.weights[0, 0])
     b = float(net.biases[0])
     v = float(net.out_weights[0])
@@ -92,8 +93,8 @@ def analyze_intervals(
     pl: PiecewiseLinear, m: float, tol: ToleranceConfig = ToleranceConfig()
 ) -> list[IntervalAnalysis]:
     """Per-segment margin crossings and flat-at-margin flags."""
-    if m <= 0:
-        raise ValueError("margin must be positive")
+    if not 0.0 < m < math.inf:
+        raise ValueError("margin must be positive and finite")
     flat_tol = tol.flatness_rel * float(np.median(np.abs(pl.slopes)))
     margin_tol = tol.on_margin_rel * m
 
@@ -232,18 +233,14 @@ def interval_lemma_audit(
         count = int(np.sum((pl.breakpoints >= a) & (pl.breakpoints <= b)))
         gap_counts.append(count)
 
-    crossings = sorted(
-        x for seg in analyze_intervals(pl, report.margin, tol) for x in seg.crossings
-    )
+    crossings = [
+        (x, "crossing")
+        for seg in analyze_intervals(pl, report.margin, tol) for x in seg.crossings
+    ]
     radius = tol.merge_rel * (
         float(pl.breakpoints[-1] - pl.breakpoints[0]) if pl.breakpoints.size > 1 else 1.0
     )
-    distinct = 0
-    prev = None
-    for x in crossings:
-        if prev is None or x - prev > radius:
-            distinct += 1
-        prev = x
+    distinct = len(_merge_candidates(crossings, radius)[0])
 
     n_support = len(support_x)
     crossing_bound = 6 * n_support

@@ -15,12 +15,14 @@ from pathlib import Path
 import numpy as np
 
 from . import kkt
-from .errors import (
-    DegenerateNetworkError,
-    DimensionMismatchError,
-    TrainingDivergedError,
+from .errors import DegenerateNetworkError, TrainingDivergedError
+from .model import (
+    LabeledDataset,
+    NetworkParams,
+    _check_inputs,
+    _forward_arrays,
+    forward_batch,
 )
-from .model import LabeledDataset, NetworkParams
 
 LOSS_KINDS = ("exponential", "logistic")
 
@@ -124,7 +126,7 @@ def _loss_derivative(z: np.ndarray, kind: str) -> np.ndarray:
 
 def loss(net: NetworkParams, data: LabeledDataset, kind: str = "exponential") -> float:
     """Mean loss of the network on the dataset."""
-    z = data.labels * _forward_parts(net, data.points)[2]
+    z = data.labels * forward_batch(net, data.points)
     return float(np.mean(loss_values(z, kind)))
 
 
@@ -140,15 +142,11 @@ class Gradient:
         return np.concatenate([self.weights.ravel(), self.biases, self.out_weights])
 
 
-def _forward_parts(net: NetworkParams, xs: np.ndarray):
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != net.input_dim:
-        raise DimensionMismatchError(
-            f"inputs have shape {xs.shape}, network expects (n, {net.input_dim})"
-        )
-    pre = xs @ net.weights.T + net.biases
-    act = np.maximum(pre, 0.0)
-    return pre, act, act @ net.out_weights
+def _gradient_arrays(xs, ys, pre, act, z, v, kind: str):
+    """(d/dW, d/db, d/dv) of the mean loss, from a forward pass at (xs, ys)."""
+    coeff = _loss_derivative(z, kind) * ys / ys.shape[0]  # (n,)
+    weighted = (pre > 0.0) * coeff[:, None]  # (n, k)
+    return weighted.T @ xs * v[:, None], weighted.sum(axis=0) * v, act.T @ coeff
 
 
 def gradient(net: NetworkParams, data: LabeledDataset, kind: str = "exponential") -> Gradient:
@@ -157,15 +155,10 @@ def gradient(net: NetworkParams, data: LabeledDataset, kind: str = "exponential"
     The ReLU subgradient is taken to be 0 at exact kinks (active iff the
     pre-activation is strictly positive), matching the rest of the package.
     """
-    pre, act, out = _forward_parts(net, data.points)
+    xs = _check_inputs(net, data.points)
+    pre, act, out = _forward_arrays(xs, net.weights, net.biases, net.out_weights)
     z = data.labels * out
-    coeff = _loss_derivative(z, kind) * data.labels / data.size  # (n,)
-    active = (pre > 0.0).astype(float)
-    weighted = active * coeff[:, None]  # (n, k)
-    g_w = weighted.T @ data.points * net.out_weights[:, None]
-    g_b = weighted.sum(axis=0) * net.out_weights
-    g_v = act.T @ coeff
-    return Gradient(g_w, g_b, g_v)
+    return Gradient(*_gradient_arrays(xs, data.labels, pre, act, z, net.out_weights, kind))
 
 
 def init_small(d: int, k: int, scale: float, seed: int) -> NetworkParams:
@@ -218,9 +211,8 @@ def train(data: LabeledDataset, cfg: TrainConfig) -> tuple[NetworkParams, TrainT
     trace = TrainTrace()
 
     def forward_state(w_, b_, v_):
-        pre = xs @ w_.T + b_
-        act = np.maximum(pre, 0.0)
-        z = ys * (act @ v_)
+        pre, act, out = _forward_arrays(xs, w_, b_, v_)
+        z = ys * out
         return pre, act, z, float(np.mean(loss_values(z, cfg.loss_kind)))
 
     pre, act, z, loss_now = forward_state(w, b, v)
@@ -263,13 +255,7 @@ def train(data: LabeledDataset, cfg: TrainConfig) -> tuple[NetworkParams, TrainT
                 return net_now, trace
 
         if grads is None:
-            coeff = _loss_derivative(z, cfg.loss_kind) * ys / n
-            weighted = (pre > 0.0) * coeff[:, None]
-            grads = (
-                weighted.T @ xs * v[:, None],
-                weighted.sum(axis=0) * v,
-                act.T @ coeff,
-            )
+            grads = _gradient_arrays(xs, ys, pre, act, z, v, cfg.loss_kind)
         w_new = w - lr * grads[0]
         b_new = b - lr * grads[1]
         v_new = v - lr * grads[2]
@@ -309,9 +295,7 @@ def train_non_degenerate(
     for attempt in range(max_retries + 1):
         run_cfg = replace(cfg, rng_seed=cfg.rng_seed + 1_000_003 * attempt)
         net, trace = train(data, run_cfg)
-        outputs = np.abs(
-            np.maximum(data.points @ net.weights.T + net.biases, 0.0) @ net.out_weights
-        )
+        outputs = np.abs(forward_batch(net, data.points))
         usable = float(np.max(outputs)) > 0.0 and trace.reached_loss_below_1_over_n
         if usable and require_targets_met:
             usable = trace.stop_reason == "targets-met"

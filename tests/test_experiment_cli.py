@@ -299,3 +299,65 @@ class TestCli:
         ])
         assert code == 0
         assert (tmp_path / "envout" / "verdicts.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["membership", "--rule", "known-margin", "--margin", "-1"],
+        ["membership", "--rule", "known-margin", "--margin", "0"],
+        ["membership", "--rule", "known-margin", "--margin", "nan"],
+        ["membership", "--rule", "known-margin", "--margin", "inf"],
+        ["membership", "--rule", "bounded-margin", "--threshold", "-1"],
+        ["membership", "--rule", "bounded-margin", "--threshold", "nan"],
+        ["reconstruct", "--margin", "-1"],
+        ["reconstruct", "--margin", "nan"],
+    ], ids=lambda argv: "_".join([argv[0], argv[-2].lstrip("-"), argv[-1]]))
+    def test_bad_margin_or_threshold_exits_2(self, tmp_path, argv):
+        from test_reconstruct import v_shape_network
+
+        ml.save_network(v_shape_network(), tmp_path / "model.json")
+        scores = tmp_path / "scores.csv"
+        scores.write_text("point_id,score\np0,1.0\np1,0.0\n")
+        inputs = (["--model", str(tmp_path / "model.json")] if argv[0] == "reconstruct"
+                  else ["--scores", str(scores)])
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc_info:
+            main(["attack", *argv, *inputs, "--out", str(out)])
+        assert exc_info.value.code == 2
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("rule", ["known-margin", "bounded-margin", "leaked-points"])
+def test_cli_membership_verdicts_match_library(tmp_path, rule):
+    from test_membership import scoring_network
+
+    # scoring_network scores |x|.  Every rule's threshold is 0.75 here (m/2
+    # with m = 1.5, C = 0.75, half the maximum score 1.5), so 0.75 is a tie.
+    members = np.array([[1.5], [0.75], [0.2]])
+    fresh = np.array([[0.74], [0.76], [0.75], [0.0]])
+    points = np.concatenate([members, fresh])
+    net = scoring_network()
+    kwargs = {"known-margin": {"margin": 1.5},
+              "bounded-margin": {"threshold": 0.75}, "leaked-points": {}}[rule]
+
+    ev = ml.evaluate_attack(net, members, fresh, rule, **kwargs)
+    from_eval = [row.verdict for row in ev.rows]
+    if rule == "known-margin":
+        from_attack = [ml.attack_known_margin(net, 1.5, x).is_member for x in points]
+    elif rule == "bounded-margin":
+        from_attack = [ml.attack_bounded_margin(net, 0.75, x).is_member for x in points]
+    else:
+        from_attack = [v.is_member for v in ml.attack_leaked_points(net, points)]
+
+    scores = tmp_path / "scores.csv"
+    scores.write_text("point_id,score\n" + "".join(
+        f"p{i},{float(s)!r}\n" for i, s in enumerate(ml.membership_scores(net, points))
+    ))
+    flags = {"known-margin": ["--margin", "1.5"],
+             "bounded-margin": ["--threshold", "0.75"], "leaked-points": []}[rule]
+    out = tmp_path / "verdicts.csv"
+    assert main(["attack", "membership", "--rule", rule, *flags,
+                 "--scores", str(scores), "--out", str(out)]) == 0
+    from_cli = [row.split(",")[2] == "1" for row in out.read_text().splitlines()[1:]]
+
+    assert from_cli == from_eval == from_attack
+    ties = [bool(v) for v, x in zip(from_cli, points[:, 0]) if x == 0.75]
+    assert ties == [rule != "bounded-margin"] * 2

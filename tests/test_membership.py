@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -183,3 +185,17 @@ def test_evaluation_csv(tmp_path):
     assert lines[0] == "point_id,score,truth,verdict,rule"
     assert lines[1] == "member-0,1.0,1,1,known-margin"
     assert lines[2] == "fresh-0,0.0,0,0,known-margin"
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_margin_and_threshold_must_be_positive_and_finite(value):
+    net = scoring_network()
+    points = np.array([[1.0], [0.0]])
+    with pytest.raises(ValueError):
+        ml.attack_known_margin(net, value, [1.0])
+    with pytest.raises(ValueError):
+        ml.attack_bounded_margin(net, value, [1.0])
+    with pytest.raises(ValueError):
+        ml.evaluate_attack(net, points, points, "known-margin", margin=value)
+    with pytest.raises(ValueError):
+        ml.evaluate_attack(net, points, points, "bounded-margin", threshold=value)

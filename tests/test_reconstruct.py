@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,25 @@ class TestIntervalLemmaAudit:
         assert audit.crossings_ok
         assert audit.crossing_bound == 6 * len(audit.support_points)
 
+    def test_crossing_count_matches_candidate_merge(self):
+        # Level 1 is crossed at eps/2, 3 eps/2 and 5 eps/2 and once more near
+        # x = 1/6.  The merge radius (1e-6 of the breakpoint range 2) lies
+        # between eps and 2 eps: the first crossing absorbs the second but
+        # not the third, which a chain-merge would also have absorbed.
+        eps = 1.5e-6
+        xs = np.array([-1.0, 0.0, eps, 2 * eps, 3 * eps, 1.0])
+        ys = np.array([0.5, 0.9, 1.1, 0.9, 1.1, 0.5])
+        slopes = np.concatenate([[0.0], np.diff(ys) / np.diff(xs), [0.0]])
+        intercepts = np.concatenate(
+            [[0.5], ys[:-1] - slopes[1:-1] * xs[:-1], [0.5]]
+        )
+        pl = ml.PiecewiseLinear(xs, slopes, intercepts)
+        data = ml.LabeledDataset(np.array([[-1.0], [1.0]]), np.array([1.0, 1.0]))
+        audit = ml.interval_lemma_audit(pl, data, self.fabricate_report(1.0, (0, 1)))
+        candidates = ml.build_candidate_set(pl, 1.0)
+        assert candidates.provenance == ("crossing",) * 3
+        assert audit.crossing_count == len(candidates) == 3
+
     def test_needs_univariate_data(self):
         pl = ml.PiecewiseLinear(np.empty(0), np.array([0.0]), np.array([0.0]))
         data = ml.LabeledDataset(np.zeros((2, 2)), np.array([1.0, -1.0]))
@@ -202,3 +223,12 @@ def test_candidates_csv(tmp_path):
     assert lines[0] == "x,provenance"
     assert len(lines) == 1 + len(cs.points)
     assert lines[1].split(",") == ["-0.75", "crossing"]
+
+
+@pytest.mark.parametrize("m", [-1.0, math.nan, math.inf])
+def test_margin_must_be_positive_and_finite(m):
+    pl = ml.to_piecewise_linear(v_shape_network())
+    with pytest.raises(ValueError):
+        ml.analyze_intervals(pl, m)
+    with pytest.raises(ValueError):
+        ml.recover_single(ml.NetworkParams.from_neurons([([1.0], 0.0, 1.0)]), m)
