@@ -26,7 +26,7 @@ from .distributions import (
     sample,
     write_dataset_csv,
 )
-from .errors import FileFormatError, MarginLeakError
+from .errors import DegenerateNetworkError, FileFormatError, MarginLeakError
 from .model import load_network, save_network, to_piecewise_linear
 
 OUT_DIR_ENV = "MARGINLEAK_OUT_DIR"
@@ -112,6 +112,10 @@ def _cmd_attack_reconstruct(args) -> int:
         m = args.margin
     elif args.data is not None:
         m, _ = kkt.margin(net, read_dataset_csv(args.data))
+        if m == 0.0:
+            raise DegenerateNetworkError(
+                "margin derived from --data is 0: a data point sits at output 0"
+            )
     else:
         raise FileFormatError("attack reconstruct needs --margin or --data")
     pl = to_piecewise_linear(net)
@@ -136,9 +140,13 @@ def _read_scores_csv(path) -> list[tuple[str, float]]:
     out = []
     for row in reader:
         try:
-            out.append((row[0], float(row[1])))
+            score = float(row[1])
         except (IndexError, ValueError) as exc:
             raise FileFormatError(f"bad scores row {row!r}") from exc
+        # Scores are |Phi(x)|: finite and nonnegative.
+        if not 0.0 <= score < math.inf:
+            raise FileFormatError(f"score must be finite and nonnegative in row {row!r}")
+        out.append((row[0], score))
     if not out:
         raise FileFormatError("scores file has no rows")
     return out

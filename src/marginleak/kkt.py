@@ -35,9 +35,10 @@ ARGMIN_REL_SLACK = 1e-9
 KINK_REL_TOL = 1e-4
 _REFINE_MAX_PASSES = 20
 
-# Materialize the full gradient matrix for the residual only when it is small;
-# otherwise fall back to the quadratic-form residual (adequate for the loose
-# tolerances used on trained networks).
+# Above this support size times parameter count the residual is taken from the
+# quadratic form ||theta||^2 - 2 lambda.rhs + lambda.gram.lambda, without kink
+# refinement (adequate for the loose tolerances used on trained networks);
+# below it, the residual is formed directly and kinks are refined.
 _MATERIALIZE_LIMIT = 4_000_000
 
 
@@ -77,6 +78,11 @@ class KktReport:
     stationarity_residual: float
     sigma_primes: np.ndarray  # (n, k) in {0, 1}
     diagnostics: DiagnosticBounds | None = None
+    # "direct" forms theta - sum lambda_i y_i g_i;
+    # "direct+kink-refinement" also refined the subgradients at kinks and
+    # reports the smaller residual; "quadratic-form" expands the square
+    # through the Gram matrix (large networks, no refinement).
+    residual_method: str = "direct"
 
 
 def margin(net: NetworkParams, data: LabeledDataset) -> tuple[float, tuple[int, ...]]:
@@ -97,58 +103,79 @@ def _abs_and_margin(out: np.ndarray) -> tuple[np.ndarray, float]:
     return a, float(np.min(a))
 
 
-def _gradient_matrix(net: NetworkParams, s_x: np.ndarray, s_y: np.ndarray,
-                     s_sigma: np.ndarray, s_act: np.ndarray) -> np.ndarray:
-    """Columns y_i grad Phi(x_i), laid out like the parameter vector."""
-    cols = []
-    for x, y, sigma_row, act_row in zip(s_x, s_y, s_sigma, s_act):
-        sv = net.out_weights * sigma_row
-        cols.append(y * np.concatenate([np.outer(sv, x).ravel(), sv, act_row]))
-    return np.column_stack(cols)
+def _dual_normal(s_y, s_sigma, s_pre, s_act, v, inner_x):
+    """Normal equations (gram, rhs) of the dual least squares for subgradients s_sigma.
+
+    <g_i, g_l> = y_i y_l [sum_j v_j^2 s_ij s_lj (x_i.x_l + 1) + sum_j act_ij act_lj]
+    and <g_i, theta> = y_i sum_j v_j (s_ij pre_ij + act_ij); for strict 0/1
+    subgradients s_ij pre_ij == act_ij, so rhs is exactly y * 2 act @ v.
+    """
+    gram_g = ((s_sigma * (v * v)) @ s_sigma.T) * inner_x + s_act @ s_act.T
+    gram = gram_g * np.outer(s_y, s_y)
+    rhs = s_y * ((s_sigma * s_pre) @ v + s_act @ v)
+    return gram, rhs
+
+
+def _direct_residual(net: NetworkParams, s_xt: np.ndarray, s_sigma: np.ndarray,
+                     s_act: np.ndarray, c: np.ndarray, theta_norm: float) -> float:
+    """||theta - sum_i c_i grad Phi(x_i)|| / ||theta|| with c = lambda * y.
+
+    s_xt holds the support points with a column of ones appended; the sum is
+    formed per parameter block, in O(k d) memory.
+    """
+    v = net.out_weights
+    wb = ((s_sigma * c[:, None]).T @ s_xt) * v[:, None]
+    r_w = net.weights - wb[:, :-1]
+    r_b = net.biases - wb[:, -1]
+    r_v = v - s_act.T @ c
+    return math.sqrt(float(np.vdot(r_w, r_w) + r_b @ r_b + r_v @ r_v)) / theta_norm
 
 
 def _refine_kink_subgradients(
     net: NetworkParams,
-    s_x: np.ndarray,
+    s_xt: np.ndarray,
     s_y: np.ndarray,
     sigma_work: np.ndarray,
     kink: np.ndarray,
-    s_act: np.ndarray,
-    theta: np.ndarray,
+    solve,
+    lam: np.ndarray,
+    residual: float,
 ) -> tuple[np.ndarray, float]:
-    """Alternate between the dual NNLS and per-neuron kink subgradients.
+    """Alternate between the dual NNLS and the kink subgradients.
 
-    Each alternation minimizes the same objective over one block, so the
-    residual is non-increasing; entries of sigma_work flagged as kinks move
-    freely inside [0, 1].
+    ``solve(sigma_work)`` returns the dual solution and its residual;
+    (lam, residual) is its value at the strict subgradients.  Each
+    alternation minimizes the same objective over one block, so the residual
+    is non-increasing; entries of sigma_work flagged as kinks move freely
+    inside [0, 1].  Neuron j's kink entries solve
+    min ||[w_j, b_j] / v_j - sum_t c_t s_tj x~_t|| with c = lambda * y, whose
+    non-kink part is fixed.  That least-squares basis depends only on the
+    neuron's kink rows, so neurons sharing a kink pattern are solved together.
+    Each neuron reads only its own non-kink entries, which no pass writes.
     """
-    theta_norm = float(np.linalg.norm(theta))
     v = net.out_weights
-    lam = np.zeros(s_y.size)
-    residual = 1.0
-    for _ in range(_REFINE_MAX_PASSES):
-        cols = _gradient_matrix(net, s_x, s_y, sigma_work, s_act)
-        lam = nnls_normal(cols.T @ cols, cols.T @ theta)
-        new_residual = float(np.linalg.norm(theta - cols @ lam)) / theta_norm
-        converged = new_residual >= residual * (1.0 - 1e-3)
-        residual = new_residual
-        if converged:
+    neurons = np.nonzero(kink.any(axis=0) & (v != 0.0))[0]
+    patterns, group = np.unique(kink[:, neurons], axis=1, return_inverse=True)
+    group = group.ravel()
+    target = np.column_stack([net.weights, net.biases])[neurons] / v[neurons, None]
+    fixed_sigma = np.where(kink, 0.0, sigma_work)[:, neurons]
+    # The caller's solve is the first pass.  Stop once a solve gains less
+    # than 0.1 % on the one before; the first is compared with the zero-dual
+    # residual 1.
+    previous = 1.0
+    for _ in range(_REFINE_MAX_PASSES - 1):
+        if residual >= previous * (1.0 - 1e-3):
             break
-        for j in range(net.width):
-            rows = np.nonzero(kink[:, j])[0]
-            if rows.size == 0 or v[j] == 0.0:
-                continue
-            target = np.concatenate([net.weights[j], [net.biases[j]]]) / v[j]
-            fixed = np.zeros(net.input_dim + 1)
-            for t, x in enumerate(s_x):
-                if kink[t, j]:
-                    continue
-                fixed += lam[t] * s_y[t] * sigma_work[t, j] * np.append(x, 1.0)
-            basis = np.column_stack(
-                [lam[t] * s_y[t] * np.append(s_x[t], 1.0) for t in rows]
-            )
-            sol, *_ = np.linalg.lstsq(basis, target - fixed, rcond=None)
-            sigma_work[rows, j] = np.clip(sol, 0.0, 1.0)
+        c = lam * s_y
+        free = target - (fixed_sigma * c[:, None]).T @ s_xt
+        basis_rows = c[:, None] * s_xt
+        for g in range(patterns.shape[1]):
+            rows = np.nonzero(patterns[:, g])[0]
+            members = group == g
+            sol, *_ = np.linalg.lstsq(basis_rows[rows].T, free[members].T, rcond=None)
+            sigma_work[np.ix_(rows, neurons[members])] = np.clip(sol, 0.0, 1.0)
+        previous = residual
+        lam, residual = solve(sigma_work)
     return lam, residual
 
 
@@ -163,7 +190,8 @@ def estimate_lambdas(
     admissible subgradient values at (point, neuron) pairs whose
     pre-activation sits at a kink.  An empty support yields residual 1 and
     zero duals.  The reported sigma_primes matrix keeps the strict 0/1
-    convention regardless of any kink refinement.
+    convention regardless of any kink refinement.  ``residual_method`` says
+    how the residual was computed (see :class:`KktReport`).
     """
     xs, ys = data.points, data.labels
     pre, act, out = _forward_arrays(xs, net.weights, net.biases, net.out_weights)
@@ -179,42 +207,43 @@ def estimate_lambdas(
     idx = np.nonzero(support)[0]
     s_x = xs[idx]
     s_sigma = sigma[idx].astype(float)
+    s_pre = pre[idx]
     s_act = act[idx]
     s_y = ys[idx]
     v = net.out_weights
-    v2 = v * v
-
-    # <g_i, g_l> = sum_j v_j^2 s_ij s_lj (x_i.x_l + 1) + sum_j act_ij act_lj
     inner_x = s_x @ s_x.T + 1.0
-    gram_g = ((s_sigma * v2) @ s_sigma.T) * inner_x + s_act @ s_act.T
-    # <g_i, theta> = 2 sum_j v_j act_ij  (sigma' * pre == act for strict sigma')
-    rhs_g = 2.0 * s_act @ v
 
-    gram = gram_g * np.outer(s_y, s_y)
-    rhs = s_y * rhs_g
+    gram, rhs = _dual_normal(s_y, s_sigma, s_pre, s_act, v, inner_x)
     lam = nnls_normal(gram, rhs)
 
     theta = net.parameter_vector()
     theta_norm = float(np.linalg.norm(theta))
-    materializable = idx.size * theta.size <= _MATERIALIZE_LIMIT
-    if materializable:
-        cols = _gradient_matrix(net, s_x, s_y, s_sigma, s_act)
-        residual = float(np.linalg.norm(theta - cols @ lam)) / theta_norm
-    else:
+    if idx.size * theta.size > _MATERIALIZE_LIMIT:
+        method = "quadratic-form"
         res_sq = theta_norm**2 - 2.0 * lam @ rhs + lam @ gram @ lam
         residual = math.sqrt(max(res_sq, 0.0)) / theta_norm
+    else:
+        method = "direct"
+        s_xt = np.column_stack([s_x, np.ones(idx.size)])
+        residual = _direct_residual(net, s_xt, s_sigma, s_act, lam * s_y, theta_norm)
+        kink_scale = np.maximum(np.max(np.abs(pre), axis=0), np.finfo(float).tiny)
+        kink = np.abs(s_pre) <= KINK_REL_TOL * kink_scale
+        if kink.any():
+            method = "direct+kink-refinement"
 
-    kink_scale = np.maximum(np.max(np.abs(pre), axis=0), np.finfo(float).tiny)
-    kink = np.abs(pre[idx]) <= KINK_REL_TOL * kink_scale
-    if materializable and kink.any():
-        lam_ref, res_ref = _refine_kink_subgradients(
-            net, s_x, s_y, s_sigma.copy(), kink, s_act, theta
-        )
-        if res_ref <= residual:
-            lam, residual = lam_ref, res_ref
+            def solve(s_sig):
+                lam_s = nnls_normal(*_dual_normal(s_y, s_sig, s_pre, s_act, v, inner_x))
+                return lam_s, _direct_residual(net, s_xt, s_sig, s_act, lam_s * s_y, theta_norm)
+
+            lam_ref, res_ref = _refine_kink_subgradients(
+                net, s_xt, s_y, s_sigma.copy(), kink, solve, lam, residual
+            )
+            if res_ref <= residual:
+                lam, residual = lam_ref, res_ref
 
     lambdas[idx] = lam
-    return KktReport(m, tuple(int(i) for i in idx), lambdas, residual, sigma_int)
+    return KktReport(m, tuple(int(i) for i in idx), lambdas, residual, sigma_int,
+                     residual_method=method)
 
 
 def diagnostic_bounds(
@@ -314,6 +343,7 @@ def write_report(report: KktReport, path) -> None:
         "support_indices": list(report.support_indices),
         "lambdas": [float(x) for x in report.lambdas],
         "stationarity_residual": report.stationarity_residual,
+        "residual_method": report.residual_method,
         "sigma_primes": report.sigma_primes.tolist(),
     }
     if report.diagnostics is not None:

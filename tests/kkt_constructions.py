@@ -169,3 +169,83 @@ def construction_suite(count: int, seed: int = 0):
             except ValueError:
                 continue
     return out
+
+
+def _reference_gradient_matrix(net: NetworkParams, s_x, s_y, s_sigma, s_act) -> np.ndarray:
+    """Columns y_i grad Phi(x_i), laid out like the parameter vector."""
+    cols = []
+    for x, y, sigma_row, act_row in zip(s_x, s_y, s_sigma, s_act):
+        sv = net.out_weights * sigma_row
+        cols.append(y * np.concatenate([np.outer(sv, x).ravel(), sv, act_row]))
+    return np.column_stack(cols)
+
+
+def _reference_refine(net: NetworkParams, s_x, s_y, sigma_work, kink, s_act, theta):
+    """Per-neuron kink refinement on the materialized gradient matrix."""
+    from marginleak.kkt import _REFINE_MAX_PASSES
+    from marginleak.nnls import nnls_normal
+
+    theta_norm = float(np.linalg.norm(theta))
+    v = net.out_weights
+    lam = np.zeros(s_y.size)
+    residual = 1.0
+    for _ in range(_REFINE_MAX_PASSES):
+        cols = _reference_gradient_matrix(net, s_x, s_y, sigma_work, s_act)
+        lam = nnls_normal(cols.T @ cols, cols.T @ theta)
+        new_residual = float(np.linalg.norm(theta - cols @ lam)) / theta_norm
+        converged = new_residual >= residual * (1.0 - 1e-3)
+        residual = new_residual
+        if converged:
+            break
+        for j in range(net.width):
+            rows = np.nonzero(kink[:, j])[0]
+            if rows.size == 0 or v[j] == 0.0:
+                continue
+            target = np.concatenate([net.weights[j], [net.biases[j]]]) / v[j]
+            fixed = np.zeros(net.input_dim + 1)
+            for t, x in enumerate(s_x):
+                if kink[t, j]:
+                    continue
+                fixed += lam[t] * s_y[t] * sigma_work[t, j] * np.append(x, 1.0)
+            basis = np.column_stack(
+                [lam[t] * s_y[t] * np.append(s_x[t], 1.0) for t in rows]
+            )
+            sol, *_ = np.linalg.lstsq(basis, target - fixed, rcond=None)
+            sigma_work[rows, j] = np.clip(sol, 0.0, 1.0)
+    return lam, residual
+
+
+def reference_estimate_lambdas(net: NetworkParams, data: LabeledDataset, support_slack: float = 0.1):
+    """(lambdas, residual, refined) from the materialized-matrix estimator.
+
+    The reference for ``marginleak.estimate_lambdas`` below its size gate:
+    the gradient matrix is built column by column and every kinked neuron's
+    subgradients are solved one at a time.
+    """
+    from marginleak.kkt import KINK_REL_TOL
+    from marginleak.nnls import nnls_normal
+
+    xs, ys = data.points, data.labels
+    pre = xs @ net.weights.T + net.biases
+    act = np.maximum(pre, 0.0)
+    out = act @ net.out_weights
+    m = float(np.min(np.abs(out)))
+    support = np.abs(ys * out - m) <= support_slack * m
+    idx = np.nonzero(support)[0]
+    s_x, s_y, s_act = xs[idx], ys[idx], act[idx]
+    s_sigma = (pre[idx] > 0.0).astype(float)
+    theta = net.parameter_vector()
+    v = net.out_weights
+    gram = ((s_sigma * (v * v)) @ s_sigma.T) * (s_x @ s_x.T + 1.0) + s_act @ s_act.T
+    lam = nnls_normal(gram * np.outer(s_y, s_y), s_y * (2.0 * s_act @ v))
+    cols = _reference_gradient_matrix(net, s_x, s_y, s_sigma, s_act)
+    residual = float(np.linalg.norm(theta - cols @ lam)) / float(np.linalg.norm(theta))
+    kink_scale = np.maximum(np.max(np.abs(pre), axis=0), np.finfo(float).tiny)
+    kink = np.abs(pre[idx]) <= KINK_REL_TOL * kink_scale
+    if kink.any():
+        lam_ref, res_ref = _reference_refine(net, s_x, s_y, s_sigma.copy(), kink, s_act, theta)
+        if res_ref <= residual:
+            lam, residual = lam_ref, res_ref
+    lambdas = np.zeros(data.size)
+    lambdas[idx] = lam
+    return lambdas, residual, bool(kink.any())

@@ -324,6 +324,37 @@ class TestCli:
         assert exc_info.value.code == 2
         assert not out.exists()
 
+    def test_reconstruct_zero_data_margin_exits_1(self, tmp_path, capsys):
+        from test_reconstruct import v_shape_network
+
+        # Phi(-0.5) = 0 and Phi(2) = 1: the margin taken from the data is 0.
+        ml.save_network(v_shape_network(), tmp_path / "model.json")
+        data = ml.LabeledDataset(np.array([[-0.5], [2.0]]), np.array([1.0, 1.0]))
+        ml.write_dataset_csv(data, tmp_path / "data.csv")
+        out = tmp_path / "candidates.csv"
+        code = main([
+            "attack", "reconstruct", "--model", str(tmp_path / "model.json"),
+            "--data", str(tmp_path / "data.csv"), "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scores", [["nan", "1.0", "0.9"], ["-5", "-1"], ["1.0", "inf"]],
+                             ids=lambda scores: scores[0])
+    def test_bad_scores_exit_2(self, tmp_path, scores):
+        path = tmp_path / "scores.csv"
+        path.write_text("point_id,score\n" + "".join(
+            f"p{i},{s}\n" for i, s in enumerate(scores)))
+        out = tmp_path / "verdicts.csv"
+        code = main([
+            "attack", "membership", "--rule", "leaked-points",
+            "--scores", str(path), "--out", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("rule", ["known-margin", "bounded-margin", "leaked-points"])
 def test_cli_membership_verdicts_match_library(tmp_path, rule):

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 import marginleak as ml
+from marginleak.experiment import _sample_labeled, _two_cluster_1d_dataset
 from kkt_constructions import (
     construction_suite,
     margin_values,
     opposite_pair_network,
+    reference_estimate_lambdas,
     shared_pattern_network,
     single_point_network,
     verify_stationarity,
@@ -112,6 +114,94 @@ class TestConstructionSuite:
             assert np.max(np.abs(report.lambdas - lam)) < 1e-6
 
 
+def _trained(data, width):
+    cfg = ml.TrainConfig(
+        width=width, loss_kind="exponential", init_scale=1e-2, learning_rate=1e-2,
+        lr_growth=1.02, max_steps=2500, loss_target=1e-8, kkt_residual_target=5e-3,
+        rng_seed=0, checkpoint_every=500,
+    )
+    return ml.train(data, cfg)[0]
+
+
+def _kink_counts(net, data):
+    # Kink rows per neuron over the whole dataset, with the estimator's tolerance.
+    pre = data.points @ net.weights.T + net.biases
+    return np.sum(np.abs(pre) <= ml.kkt.KINK_REL_TOL * np.max(np.abs(pre), axis=0), axis=0)
+
+
+def _with_extra_point(data, point):
+    return ml.LabeledDataset(
+        np.vstack([data.points, point]), np.append(data.labels, data.labels[0])
+    )
+
+
+class TestBatchedKinkRefinement:
+    """The batched refinement against the per-neuron, materialized-matrix reference."""
+
+    def assert_matches_reference(self, net, data):
+        lam_ref, res_ref, refined = reference_estimate_lambdas(net, data)
+        report = ml.estimate_lambdas(net, data)
+        np.testing.assert_allclose(
+            report.lambdas, lam_ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(lam_ref))
+        )
+        # The residual is already relative to ||theta||; near zero, compare absolutely.
+        assert report.stationarity_residual == pytest.approx(res_ref, rel=1e-12, abs=1e-14)
+        expected = "direct+kink-refinement" if refined else "direct"
+        assert report.residual_method == expected
+        return report
+
+    def test_trained_univariate_run(self):
+        data = _two_cluster_1d_dataset(6, seed=0)
+        net = _trained(data, 64)
+        report = self.assert_matches_reference(net, data)
+        assert report.residual_method == "direct+kink-refinement"
+
+    def test_trained_d20_run(self):
+        data = _sample_labeled(20, 20, 1.0, seed=0)
+        net = _trained(data, 64)
+        report = self.assert_matches_reference(net, data)
+        assert report.residual_method == "direct+kink-refinement"
+
+    def test_construction_suite_with_kinks_on_support_points(self):
+        refined = 0
+        for net, data, _, _ in construction_suite(20, seed=3):
+            report = self.assert_matches_reference(net, data)
+            refined += report.residual_method == "direct+kink-refinement"
+        assert refined >= 5
+
+    def test_kink_row_with_zero_dual(self):
+        # A duplicate of the negative point: NNLS puts its whole dual on one
+        # copy, so the positive neurons' kink basis has a zero column.
+        net, data, _, _ = opposite_pair_network([1.0], k_pos=2, k_neg=2)
+        dup = _with_extra_point(data, data.points[:1])
+        report = self.assert_matches_reference(net, dup)
+        assert report.lambdas[2] == 0.0 and report.lambdas[0] > 0.0
+        assert report.residual_method == "direct+kink-refinement"
+
+    def test_univariate_neuron_with_two_kink_rows(self):
+        net, data, _, _ = opposite_pair_network([1.0], k_pos=2, k_neg=2)
+        near = _with_extra_point(data, data.points[:1] * (1.0 + 1e-6))
+        assert np.max(_kink_counts(net, near)) >= 2
+        report = self.assert_matches_reference(net, near)
+        assert np.count_nonzero(report.lambdas) == 2
+
+
+class TestResidualMethod:
+    def test_quadratic_form_above_the_size_gate(self, monkeypatch):
+        net, data, _, _ = opposite_pair_network([0.6, -0.8], k_pos=2, k_neg=3)
+        direct = ml.estimate_lambdas(net, data)
+        monkeypatch.setattr(ml.kkt, "_MATERIALIZE_LIMIT", 0)
+        quad = ml.estimate_lambdas(net, data)
+        assert quad.residual_method == "quadratic-form"
+        assert direct.residual_method != "quadratic-form"
+        assert quad.stationarity_residual < 1e-6
+
+    def test_empty_support_counts_as_direct(self):
+        net = identity_1d_network()
+        data = ml.LabeledDataset(np.array([[1.0]]), np.array([-1.0]))
+        assert ml.estimate_lambdas(net, data).residual_method == "direct"
+
+
 class TestDiagnosticBounds:
     def test_zero_duals_trivially_respect_upper_bound(self):
         net = identity_1d_network()
@@ -172,5 +262,6 @@ class TestReportFile:
         assert doc["format_version"] == 1
         assert doc["margin"] == report.margin
         assert doc["support_indices"] == [0, 1]
+        assert doc["residual_method"] == report.residual_method
         assert "diagnostics" in doc
         assert doc["diagnostics"]["margin_lower_ok"] == report.diagnostics.margin_lower_ok

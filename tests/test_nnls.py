@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from marginleak.nnls import nnls_normal
 
@@ -63,3 +66,50 @@ def test_duplicate_columns_handled():
 def test_shape_validation():
     with pytest.raises(ValueError):
         nnls_normal(np.ones((2, 3)), np.ones(2))
+
+
+# The stopping tolerance has an absolute floor (it is relative to
+# max(1, ||rhs||_inf)), so the problems are kept at unit scale: every nonzero
+# entry has magnitude at least 1e-3.
+_entries = st.floats(-10.0, 10.0, allow_nan=False).filter(lambda x: x == 0.0 or abs(x) >= 1e-3)
+
+
+@st.composite
+def _problems(draw):
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 6))
+    a = draw(hnp.arrays(float, (m, n), elements=_entries))
+    b = draw(hnp.arrays(float, m, elements=_entries))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_problems())
+def test_property_objective_matches_scipy(problem):
+    a, b = problem
+    want, _ = scipy.optimize.nnls(a, b)
+    got = nnls_normal(a.T @ a, a.T @ b)
+    assert np.all(got >= 0.0)
+    objective = lambda x: float(np.sum((a @ x - b) ** 2))
+    assert abs(objective(got) - objective(want)) <= 1e-8 * max(1.0, float(b @ b))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_problems())
+def test_property_zero_pattern_matches_scipy_when_unique(problem):
+    a, b = problem
+    # Full column rank makes the solution unique; keep it well conditioned so
+    # that the normal equations resolve it.
+    assume(a.shape[0] >= a.shape[1] and np.linalg.cond(a) < 1e4)
+    gram, rhs = a.T @ a, a.T @ b
+    want, _ = scipy.optimize.nnls(a, b)
+    got = nnls_normal(gram, rhs)
+    # Compare only where strict complementarity fixes the pattern: clearly
+    # positive, or zero with a clearly negative dual.  An entry that is zero
+    # with a zero dual (b on a face of the cone) is zero only up to rounding.
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(rhs))), float(np.max(want)))
+    dual = rhs - gram @ want
+    positive = want > tol
+    inactive = (want == 0.0) & (dual < -tol)
+    assert np.all(got[positive] > 0.0)
+    assert np.all(got[inactive] == 0.0)
