@@ -67,7 +67,6 @@ from .model import (
 from .reconstruct import (
     CandidateSet,
     IntervalAnalysis,
-    ToleranceConfig,
     analyze_intervals,
     build_candidate_set,
     interval_lemma_audit,

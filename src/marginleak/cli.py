@@ -9,7 +9,6 @@ directory.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -27,7 +26,9 @@ from .distributions import (
     write_dataset_csv,
 )
 from .errors import DegenerateNetworkError, FileFormatError, MarginLeakError
-from .model import load_network, save_network, to_piecewise_linear
+from .model import (
+    _read_csv, _write_csv, _write_json, load_network, save_network, to_piecewise_linear,
+)
 
 OUT_DIR_ENV = "MARGINLEAK_OUT_DIR"
 
@@ -39,6 +40,11 @@ def _out_dir(args) -> Path:
     return path
 
 
+def _out_path(args, given, name: str) -> Path:
+    """The path a flag gave, else ``name`` in the default output directory."""
+    return Path(given) if given else _out_dir(args) / name
+
+
 def _experiment_out_dir(args, cfg: experiment.ExperimentConfig) -> Path:
     return _out_dir(argparse.Namespace(out_dir=args.out_dir or cfg.out_dir))
 
@@ -47,6 +53,13 @@ def _positive_finite(text: str) -> float:
     value = float(text)
     if not 0.0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
+def _nonnegative_finite(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be nonnegative and finite, got {text!r}")
     return value
 
 
@@ -71,15 +84,17 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 def _train_config(args) -> training.TrainConfig:
     fields = dataclasses.fields(training.TrainConfig)
-    return training.TrainConfig(**{f.name: getattr(args, f.name) for f in fields})
+    try:
+        return training.TrainConfig(**{f.name: getattr(args, f.name) for f in fields})
+    except ValueError as exc:
+        raise FileFormatError(str(exc)) from exc
 
 
 def _cmd_train(args) -> int:
     data = read_dataset_csv(args.data)
     net, trace = training.train(data, _train_config(args))
-    out = _out_dir(args)
-    model_path = Path(args.out_model) if args.out_model else out / "model.json"
-    trace_path = Path(args.out_trace) if args.out_trace else out / "trace.csv"
+    model_path = _out_path(args, args.out_model, "model.json")
+    trace_path = _out_path(args, args.out_trace, "trace.csv")
     save_network(net, model_path)
     training.write_trace_csv(trace, trace_path)
     final = trace.final()
@@ -96,7 +111,7 @@ def _cmd_verify_kkt(args) -> int:
     net = load_network(args.model)
     data = read_dataset_csv(args.data)
     report = kkt.analyze(net, data, support_slack=args.slack, loss_kind=args.loss)
-    out_path = Path(args.out) if args.out else _out_dir(args) / "kkt_report.json"
+    out_path = _out_path(args, args.out, "kkt_report.json")
     kkt.write_report(report, out_path)
     print(
         f"margin={report.margin:.6g} support={len(report.support_indices)}/{data.size} "
@@ -120,7 +135,7 @@ def _cmd_attack_reconstruct(args) -> int:
         raise FileFormatError("attack reconstruct needs --margin or --data")
     pl = to_piecewise_linear(net)
     candidates = reconstruct.build_candidate_set(pl, m)
-    out_path = Path(args.out) if args.out else _out_dir(args) / "candidates.csv"
+    out_path = _out_path(args, args.out, "candidates.csv")
     reconstruct.write_candidates_csv(candidates, out_path)
     note = " (degenerate: fewer than 3 breakpoints)" if candidates.degenerate else ""
     print(f"margin={m:.6g} candidates={len(candidates)}{note}")
@@ -129,16 +144,11 @@ def _cmd_attack_reconstruct(args) -> int:
 
 
 def _read_scores_csv(path) -> list[tuple[str, float]]:
-    lines = [
-        ln for ln in Path(path).read_text().splitlines()
-        if ln.strip() and not ln.startswith("#")
-    ]
-    reader = csv.reader(lines)
-    header = next(reader, None)
+    header, rows = _read_csv(path)
     if header is None or header[:2] != ["point_id", "score"]:
         raise FileFormatError("scores file must have header point_id,score")
     out = []
-    for row in reader:
+    for row in rows:
         try:
             score = float(row[1])
         except (IndexError, ValueError) as exc:
@@ -173,40 +183,38 @@ def _cmd_attack_membership(args) -> int:
     except ValueError as exc:
         raise FileFormatError(str(exc)) from exc
 
-    out_path = Path(args.out) if args.out else _out_dir(args) / "verdicts.csv"
-    with out_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["point_id", "score", "verdict", "rule", "threshold"])
-        n_members = 0
-        for pid, score in scored:
-            member = membership._decide(score, threshold, comparison)
-            n_members += member
-            writer.writerow([pid, repr(score), int(member), args.rule, repr(threshold)])
+    verdicts = [int(membership._decide(s, threshold, comparison)) for _, s in scored]
+    out_path = _out_path(args, args.out, "verdicts.csv")
+    _write_csv(
+        out_path,
+        ["point_id", "score", "verdict", "rule", "threshold"],
+        ([pid, score, verdict, args.rule, threshold]
+         for (pid, score), verdict in zip(scored, verdicts)),
+    )
     print(
         f"rule={args.rule} threshold={threshold:.6g} "
-        f"members={n_members}/{len(scored)}"
+        f"members={sum(verdicts)}/{len(scored)}"
     )
     print(f"wrote {out_path}")
     return 0
 
 
 def _cmd_check_dist(args) -> int:
-    means = tuple(
-        tuple(float(tok) for tok in chunk.split(",")) for chunk in (args.mean or [])
-    )
-    weights = (
-        tuple(float(tok) for tok in args.weights.split(",")) if args.weights else ()
-    )
     try:
+        means = tuple(
+            tuple(float(tok) for tok in chunk.split(",")) for chunk in (args.mean or [])
+        )
+        weights = (
+            tuple(float(tok) for tok in args.weights.split(",")) if args.weights else ()
+        )
         spec = DistributionSpec(args.kind, args.dim, means, weights, args.seed)
+        report = check_assumption(sample(spec, args.n).points)
     except ValueError as exc:
         raise FileFormatError(str(exc)) from exc
-    batch = sample(spec, args.n)
-    report = check_assumption(batch.points)
     doc = dataclasses.asdict(report)
     print(json.dumps(doc, indent=1))
     if args.out:
-        Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+        _write_json(args.out, doc)
         print(f"wrote {args.out}", file=sys.stderr)
     return 0
 
@@ -250,8 +258,11 @@ def _cmd_experiment_reconstruct(args) -> int:
 
 def _cmd_sample_dataset(args) -> int:
     # Convenience for producing CLI inputs: sample a labeled mixture dataset.
-    data = experiment._sample_labeled(args.dim, args.n, args.mean_coord, args.seed)
-    out_path = Path(args.out) if args.out else _out_dir(args) / "dataset.csv"
+    try:
+        data = experiment._sample_labeled(args.dim, args.n, args.mean_coord, args.seed)
+    except ValueError as exc:
+        raise FileFormatError(str(exc)) from exc
+    out_path = _out_path(args, args.out, "dataset.csv")
     write_dataset_csv(data, out_path)
     print(f"wrote {out_path}")
     return 0
@@ -275,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-kkt", help="estimate duals and stationarity residual")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--slack", type=float, default=kkt.DEFAULT_SUPPORT_SLACK)
+    p.add_argument("--slack", type=_nonnegative_finite, default=kkt.DEFAULT_SUPPORT_SLACK)
     p.add_argument("--loss", choices=training.LOSS_KINDS, default="logistic")
     p.add_argument("--out")
     p.add_argument("--out-dir")

@@ -7,14 +7,12 @@ measures how close a concrete sample comes to that regime.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import FileFormatError
-from .model import LabeledDataset
+from .model import LabeledDataset, _read_csv, _write_csv
 
 KINDS = ("uniform-sphere", "gaussian", "gaussian-mixture")
 
@@ -67,13 +65,9 @@ class DistributionSpec:
 
 def two_gaussian_mixture(dim: int, mean_coord: float = 1.0, rng_seed: int = 0) -> DistributionSpec:
     """Balanced mixture of two unit Gaussians at (+-mean_coord, 0, ..., 0)."""
-    mu = [0.0] * dim
-    mu[0] = mean_coord
-    neg = [0.0] * dim
-    neg[0] = -mean_coord
-    return DistributionSpec(
-        "gaussian-mixture", dim, (tuple(mu), tuple(neg)), (0.5, 0.5), rng_seed
-    )
+    rest = (0.0,) * (dim - 1)
+    means = ((mean_coord, *rest), (-mean_coord, *rest))
+    return DistributionSpec("gaussian-mixture", dim, means, (0.5, 0.5), rng_seed)
 
 
 @dataclass(frozen=True)
@@ -175,29 +169,26 @@ def write_dataset_csv(data: LabeledDataset, path) -> None:
     The first line is a metadata comment carrying d and n; the second is the
     column header.
     """
-    with Path(path).open("w", newline="") as fh:
-        fh.write(f"# labeled-dataset d={data.dim} n={data.size}\n")
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(data.dim)] + ["label"])
-        for row, label in zip(data.points, data.labels):
-            writer.writerow([repr(float(c)) for c in row] + [int(label)])
+    _write_csv(
+        path,
+        [f"x{i}" for i in range(data.dim)] + ["label"],
+        (row + [int(label)] for row, label in zip(data.points.tolist(), data.labels)),
+        f"labeled-dataset d={data.dim} n={data.size}",
+    )
 
 
 def read_dataset_csv(path) -> LabeledDataset:
     """Read a dataset written by :func:`write_dataset_csv`."""
-    lines = Path(path).read_text().splitlines()
-    body = [ln for ln in lines if ln.strip() and not ln.startswith("#")]
-    if not body:
+    header, rows = _read_csv(path)
+    if header is None:
         raise FileFormatError("dataset file has no rows")
-    reader = csv.reader(body)
-    header = next(reader)
     if not header or header[-1] != "label" or any(
         col != f"x{i}" for i, col in enumerate(header[:-1])
     ):
         raise FileFormatError(f"unexpected dataset header: {header}")
     d = len(header) - 1
     points, labels = [], []
-    for row in reader:
+    for row in rows:
         if len(row) != d + 1:
             raise FileFormatError(f"row has {len(row)} fields, expected {d + 1}")
         try:

@@ -8,7 +8,6 @@ deterministic given their seed.
 """
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass, fields, replace
@@ -18,7 +17,9 @@ import numpy as np
 
 from . import kkt, reconstruct, training
 from .errors import DegenerateNetworkError, FileFormatError, TrainingDivergedError
-from .model import LabeledDataset, NetworkParams, forward_batch, to_piecewise_linear
+from .model import (
+    LabeledDataset, NetworkParams, _write_csv, forward_batch, to_piecewise_linear,
+)
 from .distributions import label_by_component, sample, two_gaussian_mixture
 
 RECONSTRUCTION_MATCH_TOL = 1e-3
@@ -266,13 +267,12 @@ def _recon_dataset(cfg: ExperimentConfig, seed: int) -> LabeledDataset:
     return _uniform_1d_dataset(cfg.n_train, seed)
 
 
-def match_candidates(
-    points, true_points, tol: float = RECONSTRUCTION_MATCH_TOL
-) -> int:
-    """How many candidates sit within ``tol`` of some true point."""
+def match_candidates(points, true_points) -> int:
+    """How many candidates sit within RECONSTRUCTION_MATCH_TOL of some true point."""
     true_arr = np.asarray(true_points, dtype=float)
     return sum(
-        1 for p in points if true_arr.size and float(np.min(np.abs(true_arr - p))) <= tol
+        1 for p in points
+        if true_arr.size and float(np.min(np.abs(true_arr - p))) <= RECONSTRUCTION_MATCH_TOL
     )
 
 
@@ -342,10 +342,6 @@ def run_reconstruction_sweep(cfg: ExperimentConfig, log=None) -> list[Reconstruc
     return reports
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def write_margin_results_csv(
     result: MarginExperimentResult, path, metadata: str = ""
 ) -> None:
@@ -354,61 +350,42 @@ def write_margin_results_csv(
     Timestamps and timings appear only on the leading metadata comment line,
     so reruns with identical inputs produce byte-identical bodies.
     """
-    with Path(path).open("w", newline="") as fh:
-        fh.write(f"# margin-experiment {metadata}\n")
-        writer = csv.writer(fh)
-        writer.writerow(MARGIN_CSV_COLUMNS)
-        for r in result.records:
-            writer.writerow(
-                [r.dim, r.seed, _fmt(r.frac_train_on_margin),
-                 _fmt(r.frac_test_on_or_above_margin), _fmt(r.final_loss),
-                 _fmt(r.margin), _fmt(r.kkt_residual), int(r.diverged)]
-            )
-        for a in result.aggregates:
-            writer.writerow(
-                [a.dim, "mean", _fmt(a.frac_train_on_margin_mean),
-                 _fmt(a.frac_test_on_or_above_margin_mean), _fmt(a.final_loss_mean),
-                 _fmt(a.margin_mean), _fmt(a.kkt_residual_mean), 0]
-            )
+    rows = [
+        [r.dim, r.seed, r.frac_train_on_margin, r.frac_test_on_or_above_margin,
+         r.final_loss, r.margin, r.kkt_residual, int(r.diverged)]
+        for r in result.records
+    ] + [
+        [a.dim, "mean", a.frac_train_on_margin_mean, a.frac_test_on_or_above_margin_mean,
+         a.final_loss_mean, a.margin_mean, a.kkt_residual_mean, 0]
+        for a in result.aggregates
+    ]
+    _write_csv(path, MARGIN_CSV_COLUMNS, rows, f"margin-experiment {metadata}")
 
 
 def write_margin_plot_csv(result: MarginExperimentResult, path, metadata: str = "") -> None:
     """Plot-ready CSV: x = d, mean fractions, std over seeds as y_err."""
-    with Path(path).open("w", newline="") as fh:
-        fh.write(f"# margin-experiment-plot {metadata}\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["d", "frac_train_on_margin_mean", "frac_train_on_margin_std",
-             "frac_test_on_or_above_margin_mean", "frac_test_on_or_above_margin_std"]
-        )
-        for a in result.aggregates:
-            writer.writerow(
-                [a.dim, _fmt(a.frac_train_on_margin_mean),
-                 _fmt(a.frac_train_on_margin_std),
-                 _fmt(a.frac_test_on_or_above_margin_mean),
-                 _fmt(a.frac_test_on_or_above_margin_std)]
-            )
+    _write_csv(
+        path,
+        ["d", "frac_train_on_margin_mean", "frac_train_on_margin_std",
+         "frac_test_on_or_above_margin_mean", "frac_test_on_or_above_margin_std"],
+        ([a.dim, a.frac_train_on_margin_mean, a.frac_train_on_margin_std,
+          a.frac_test_on_or_above_margin_mean, a.frac_test_on_or_above_margin_std]
+         for a in result.aggregates),
+        f"margin-experiment-plot {metadata}",
+    )
 
 
 def write_reconstruction_csv(
     reports: list[ReconstructionReport], path, metadata: str = ""
 ) -> None:
     """Per-seed reconstruction outcomes plus a success-rate summary row."""
-    with Path(path).open("w", newline="") as fh:
-        fh.write(f"# reconstruction-experiment {metadata}\n")
-        writer = csv.writer(fh)
-        writer.writerow(RECON_CSV_COLUMNS)
-        for r in reports:
-            writer.writerow(
-                [r.seed, len(r.candidates), r.n_matched, _fmt(r.matched_fraction),
-                 _fmt(r.margin), _fmt(r.final_loss), _fmt(r.kkt_residual),
-                 int(r.degenerate)]
-            )
-        ok = [r for r in reports if r.matched_fraction >= reconstruct.GUARANTEED_FRACTION]
-        writer.writerow(
-            ["success-rate", len(reports), len(ok), _fmt(len(ok) / len(reports)),
-             "", "", "", ""]
-        )
+    ok = [r for r in reports if r.matched_fraction >= reconstruct.GUARANTEED_FRACTION]
+    rows = [
+        [r.seed, len(r.candidates), r.n_matched, r.matched_fraction, r.margin,
+         r.final_loss, r.kkt_residual, int(r.degenerate)]
+        for r in reports
+    ] + [["success-rate", len(reports), len(ok), len(ok) / len(reports), "", "", "", ""]]
+    _write_csv(path, RECON_CSV_COLUMNS, rows, f"reconstruction-experiment {metadata}")
 
 
 # --- flat key=value config files -------------------------------------------

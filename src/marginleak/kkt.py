@@ -10,16 +10,16 @@ that hold for near-orthogonal data.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from . import training
 from .errors import DegenerateNetworkError
-from .model import LabeledDataset, NetworkParams, _forward_arrays, forward_batch
+from .model import (
+    LabeledDataset, NetworkParams, _forward_arrays, _write_json, forward_batch,
+)
 from .nnls import nnls_normal
 
 REPORT_FORMAT_VERSION = 1
@@ -191,8 +191,11 @@ def estimate_lambdas(
     pre-activation sits at a kink.  An empty support yields residual 1 and
     zero duals.  The reported sigma_primes matrix keeps the strict 0/1
     convention regardless of any kink refinement.  ``residual_method`` says
-    how the residual was computed (see :class:`KktReport`).
+    how the residual was computed (see :class:`KktReport`).  Raises
+    ValueError unless ``support_slack`` is nonnegative and finite.
     """
+    if not 0.0 <= support_slack < math.inf:
+        raise ValueError(f"support_slack must be nonnegative and finite: {support_slack!r}")
     xs, ys = data.points, data.labels
     pre, act, out = _forward_arrays(xs, net.weights, net.biases, net.out_weights)
     sigma = (pre > 0.0)
@@ -351,4 +354,4 @@ def write_report(report: KktReport, path) -> None:
             k: v.tolist() if isinstance(v, np.ndarray) else v
             for k, v in asdict(report.diagnostics).items()
         }
-    Path(path).write_text(json.dumps(doc, indent=1, allow_nan=True) + "\n")
+    _write_json(path, doc)

@@ -8,15 +8,13 @@ work black-box.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DegenerateNetworkError
-from .model import NetworkParams, forward, forward_batch
+from .model import NetworkParams, _write_csv, forward, forward_batch
 
 RULES = ("known-margin", "leaked-points", "bounded-margin")
 
@@ -214,11 +212,9 @@ def evaluate_attack(
 
 def write_evaluation_csv(evaluation: AttackEvaluation, path) -> None:
     """Write per-point results as CSV: point_id,score,truth,verdict,rule."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["point_id", "score", "truth", "verdict", "rule"])
-        for row in evaluation.rows:
-            writer.writerow(
-                [row.point_id, repr(row.score), int(row.truth), int(row.verdict),
-                 evaluation.rule]
-            )
+    _write_csv(
+        path,
+        ["point_id", "score", "truth", "verdict", "rule"],
+        ([row.point_id, row.score, int(row.truth), int(row.verdict), evaluation.rule]
+         for row in evaluation.rows),
+    )

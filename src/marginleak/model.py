@@ -4,10 +4,12 @@ A network is x -> sum_j v_j * max(0, w_j . x + b_j).  Scaling every parameter
 by a factor c scales the output by c**2, so the architecture is homogeneous of
 degree 2.  For one-dimensional inputs the function is piecewise linear with
 kinks at -b_j / w_j; this module exposes that structure explicitly because the
-reconstruction attack operates on it.
+reconstruction attack operates on it.  The module also owns the on-disk
+convention that every CSV and JSON file of the package follows.
 """
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -125,7 +127,7 @@ class LabeledDataset:
 
     def __post_init__(self):
         x = _readonly(self.points)
-        if x.ndim != 2 or x.shape[0] < 1:
+        if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
             raise ValueError(f"points must be a nonempty (n, d) array, got {x.shape}")
         if not np.all(np.isfinite(x)):
             raise ValueError("points must be finite")
@@ -343,6 +345,44 @@ def to_piecewise_linear(net: NetworkParams) -> PiecewiseLinear:
     return PiecewiseLinear(locs[keep_bp], slopes[seg_keep], intercepts[seg_keep])
 
 
+# --- on-disk formats ---------------------------------------------------------
+# A CSV file is an optional "# ..." metadata line ending in "\n", then a
+# header and data rows written by the csv module, each ending in "\r\n".
+# Float cells are passed as floats, which the csv module writes with repr
+# (full round-trip precision).  Readers skip blank lines and lines starting
+# with "#".  A JSON document is written with indent=1 and a trailing newline,
+# NaN and infinities as NaN/Infinity.  The helpers are underscore-named so
+# that their time counts toward the public reader or writer calling them.
+
+
+def _write_csv(path, header, rows, comment: str | None = None) -> None:
+    """Write ``# comment`` (when given), the header, then the rows."""
+    with Path(path).open("w", newline="") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read_csv(path):
+    """(header, rows) of a CSV file, skipping blank and ``#`` lines.
+
+    ``rows`` iterates over the remaining rows as lists of strings; ``header``
+    is None when no line is left.
+    """
+    lines = [
+        ln for ln in Path(path).read_text().splitlines()
+        if ln.strip() and not ln.startswith("#")
+    ]
+    reader = csv.reader(lines)
+    return next(reader, None), reader
+
+
+def _write_json(path, doc) -> None:
+    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+
+
 def save_network(net: NetworkParams, path) -> None:
     """Write the versioned model document (JSON, full round-trip precision)."""
     doc = {
@@ -353,7 +393,7 @@ def save_network(net: NetworkParams, path) -> None:
             {"w": list(map(float, w)), "b": b, "v": v} for w, b, v in net.neurons()
         ],
     }
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+    _write_json(path, doc)
 
 
 def load_network(path) -> NetworkParams:

@@ -9,31 +9,24 @@ the stationarity and local-optimality premises).
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DegenerateNetworkError, DimensionMismatchError
 from .kkt import KktReport
-from .model import LabeledDataset, NetworkParams, PiecewiseLinear
+from .model import LabeledDataset, NetworkParams, PiecewiseLinear, _write_csv
 
 GUARANTEED_FRACTION = 0.25
 
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Relative tolerances for margin-level analysis of approximate networks.
-
-    flatness_rel scales the median absolute segment slope; on_margin_rel
-    scales the margin m; merge_rel scales the breakpoint range.
-    """
-
-    flatness_rel: float = 1e-6
-    on_margin_rel: float = 1e-3
-    merge_rel: float = 1e-6
+# Relative tolerances for margin-level analysis of approximate networks: a
+# segment is flat below FLATNESS_REL_TOL times the median absolute slope and
+# at the margin within ON_MARGIN_REL_TOL times m; candidates closer than
+# MERGE_REL_TOL times the breakpoint range are merged.
+FLATNESS_REL_TOL = 1e-6
+ON_MARGIN_REL_TOL = 1e-3
+MERGE_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -89,14 +82,12 @@ def recover_single(net: NetworkParams, m: float) -> float:
     return (m / abs(v) - b) / w
 
 
-def analyze_intervals(
-    pl: PiecewiseLinear, m: float, tol: ToleranceConfig = ToleranceConfig()
-) -> list[IntervalAnalysis]:
+def analyze_intervals(pl: PiecewiseLinear, m: float) -> list[IntervalAnalysis]:
     """Per-segment margin crossings and flat-at-margin flags."""
     if not 0.0 < m < math.inf:
         raise ValueError("margin must be positive and finite")
-    flat_tol = tol.flatness_rel * float(np.median(np.abs(pl.slopes)))
-    margin_tol = tol.on_margin_rel * m
+    flat_tol = FLATNESS_REL_TOL * float(np.median(np.abs(pl.slopes)))
+    margin_tol = ON_MARGIN_REL_TOL * m
 
     out = []
     for i in range(pl.n_segments):
@@ -147,9 +138,7 @@ def _merge_candidates(
     return tuple(points), tuple(provenance)
 
 
-def build_candidate_set(
-    pl: PiecewiseLinear, m: float, tol: ToleranceConfig = ToleranceConfig()
-) -> CandidateSet:
+def build_candidate_set(pl: PiecewiseLinear, m: float) -> CandidateSet:
     """Candidate training points from consecutive-breakpoint windows.
 
     For each window (x, y, z) of consecutive breakpoints: if neither [x, y]
@@ -162,7 +151,7 @@ def build_candidate_set(
     if bps.size < 3:
         return CandidateSet((), (), degenerate=True)
 
-    analyses = analyze_intervals(pl, m, tol)
+    analyses = analyze_intervals(pl, m)
     collected: list[tuple[float, str]] = []
     window_counts: list[int] = []
     ambiguous: list[int] = []
@@ -183,7 +172,7 @@ def build_candidate_set(
                 if seg_yz.is_on_margin:
                     ambiguous.append(i)
 
-    radius = tol.merge_rel * float(bps[-1] - bps[0])
+    radius = MERGE_REL_TOL * float(bps[-1] - bps[0])
     points, provenance = _merge_candidates(collected, radius)
     return CandidateSet(
         points,
@@ -216,7 +205,6 @@ def interval_lemma_audit(
     pl: PiecewiseLinear,
     data: LabeledDataset,
     report: KktReport,
-    tol: ToleranceConfig = ToleranceConfig(),
 ) -> IntervalLemmaAudit:
     """Diagnostic check of the breakpoint and crossing-count bounds.
 
@@ -235,9 +223,9 @@ def interval_lemma_audit(
 
     crossings = [
         (x, "crossing")
-        for seg in analyze_intervals(pl, report.margin, tol) for x in seg.crossings
+        for seg in analyze_intervals(pl, report.margin) for x in seg.crossings
     ]
-    radius = tol.merge_rel * (
+    radius = MERGE_REL_TOL * (
         float(pl.breakpoints[-1] - pl.breakpoints[0]) if pl.breakpoints.size > 1 else 1.0
     )
     distinct = len(_merge_candidates(crossings, radius)[0])
@@ -257,8 +245,4 @@ def interval_lemma_audit(
 
 def write_candidates_csv(candidates: CandidateSet, path) -> None:
     """Write the candidate set as CSV with columns x,provenance."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "provenance"])
-        for x, prov in zip(candidates.points, candidates.provenance):
-            writer.writerow([repr(x), prov])
+    _write_csv(path, ["x", "provenance"], zip(candidates.points, candidates.provenance))

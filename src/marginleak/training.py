@@ -8,9 +8,7 @@ reachable in a finite number of steps.
 """
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -21,6 +19,7 @@ from .model import (
     NetworkParams,
     _check_inputs,
     _forward_arrays,
+    _write_csv,
     forward_batch,
 )
 
@@ -30,16 +29,6 @@ LOSS_KINDS = ("exponential", "logistic")
 # very large and further growth would only walk the outputs toward overflow
 # (exp(-z) underflows near z = 745, so this leaves a wide safety band).
 LR_GROWTH_FREEZE_LOSS = 1e-100
-
-TRACE_CSV_COLUMNS = (
-    "step",
-    "loss",
-    "min_margin",
-    "param_norm",
-    "normalized_margin",
-    "kkt_residual",
-)
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -71,9 +60,9 @@ class TrainConfig:
         if self.width < 1 or self.max_steps < 1 or self.checkpoint_every < 1:
             raise ValueError("width, max_steps and checkpoint_every must be >= 1")
         for name in ("init_scale", "learning_rate", "loss_target", "kkt_residual_target"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # NaN fails too
                 raise ValueError(f"{name} must be positive")
-        if self.lr_growth < 1.0:
+        if not self.lr_growth >= 1.0:
             raise ValueError("lr_growth must be >= 1")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be nonnegative")
@@ -81,12 +70,21 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TraceRecord:
+    """One checkpoint.  ``residual_method`` is the :class:`kkt.KktReport`
+    method behind ``kkt_residual``, or ``degenerate`` when the network output
+    was zero on every point and the residual was set to 1.
+    """
+
     step: int
     loss: float
     min_margin: float
     param_norm: float
     normalized_margin: float
     kkt_residual: float
+    residual_method: str
+
+
+TRACE_CSV_COLUMNS = tuple(f.name for f in fields(TraceRecord))
 
 
 @dataclass
@@ -234,9 +232,10 @@ def train(data: LabeledDataset, cfg: TrainConfig) -> tuple[NetworkParams, TrainT
             min_margin = float(np.min(z))
             norm_sq = float(np.sum(w * w) + np.sum(b * b) + np.sum(v * v))
             try:
-                residual = kkt.estimate_lambdas(net_now, data).stationarity_residual
+                report = kkt.estimate_lambdas(net_now, data)
+                residual, method = report.stationarity_residual, report.residual_method
             except DegenerateNetworkError:
-                residual = 1.0
+                residual, method = 1.0, "degenerate"
             trace.records.append(
                 TraceRecord(
                     step=step,
@@ -245,6 +244,7 @@ def train(data: LabeledDataset, cfg: TrainConfig) -> tuple[NetworkParams, TrainT
                     param_norm=float(np.sqrt(norm_sq)),
                     normalized_margin=min_margin / norm_sq,
                     kkt_residual=residual,
+                    residual_method=method,
                 )
             )
             if loss_now <= cfg.loss_target and residual <= cfg.kkt_residual_target:
@@ -307,15 +307,9 @@ def train_non_degenerate(
 
 
 def write_trace_csv(trace: TrainTrace, path) -> None:
-    """Write checkpoint records as CSV.
+    """Write checkpoint records as CSV, one column per :class:`TraceRecord` field.
 
-    Columns: step,loss,min_margin,param_norm,normalized_margin,kkt_residual.
+    Columns: step,loss,min_margin,param_norm,normalized_margin,kkt_residual,
+    residual_method.
     """
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_CSV_COLUMNS)
-        for r in trace.records:
-            writer.writerow(
-                [r.step, repr(r.loss), repr(r.min_margin), repr(r.param_norm),
-                 repr(r.normalized_margin), repr(r.kkt_residual)]
-            )
+    _write_csv(path, TRACE_CSV_COLUMNS, (astuple(r) for r in trace.records))

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,20 +310,51 @@ class TestCli:
         ["membership", "--rule", "bounded-margin", "--threshold", "nan"],
         ["reconstruct", "--margin", "-1"],
         ["reconstruct", "--margin", "nan"],
+        ["verify-kkt", "--slack", "-1"],
+        ["verify-kkt", "--slack", "nan"],
+        ["check-dist", "--n", "0"],
+        ["check-dist", "--n", "1"],
+        ["sample-dataset", "--dim", "0"],
+        ["sample-dataset", "--n", "0"],
+        ["train", "--width", "0"],
+        ["train", "--learning-rate", "-1"],
+        ["train", "--learning-rate", "nan"],
+        ["train", "--lr-growth", "nan"],
+        ["train", "--data", "label-only.csv"],
     ], ids=lambda argv: "_".join([argv[0], argv[-2].lstrip("-"), argv[-1]]))
-    def test_bad_margin_or_threshold_exits_2(self, tmp_path, argv):
+    def test_bad_margin_or_threshold_exits_2(self, tmp_path, monkeypatch, capsys, argv):
+        # Every bad flag value or input named here ends in exit 2 and writes
+        # nothing.  The bad flag comes last and overrides the valid value of
+        # the same flag, if any.
         from test_reconstruct import v_shape_network
 
-        ml.save_network(v_shape_network(), tmp_path / "model.json")
-        scores = tmp_path / "scores.csv"
-        scores.write_text("point_id,score\np0,1.0\np1,0.0\n")
-        inputs = (["--model", str(tmp_path / "model.json")] if argv[0] == "reconstruct"
-                  else ["--scores", str(scores)])
-        out = tmp_path / "out.csv"
-        with pytest.raises(SystemExit) as exc_info:
-            main(["attack", *argv, *inputs, "--out", str(out)])
-        assert exc_info.value.code == 2
-        assert not out.exists()
+        monkeypatch.chdir(tmp_path)
+        ml.save_network(v_shape_network(), "model.json")
+        ml.write_dataset_csv(
+            ml.LabeledDataset(np.array([[-1.0], [1.0]]), np.array([-1.0, 1.0])), "data.csv"
+        )
+        Path("scores.csv").write_text("point_id,score\np0,1.0\np1,0.0\n")
+        Path("label-only.csv").write_text("label\n1\n-1\n")
+        before = sorted(tmp_path.iterdir())
+        inputs = {
+            "membership": ["attack", "membership", "--scores", "scores.csv", "--out", "out"],
+            "reconstruct": ["attack", "reconstruct", "--model", "model.json", "--out", "out"],
+            "verify-kkt": ["verify-kkt", "--model", "model.json", "--data", "data.csv",
+                           "--out", "out"],
+            "check-dist": ["check-dist", "--kind", "gaussian", "--dim", "2", "--n", "4",
+                           "--out", "out"],
+            "sample-dataset": ["sample-dataset", "--dim", "2", "--n", "4", "--out", "out"],
+            "train": ["train", "--data", "data.csv", "--out-model", "out"],
+        }[argv[0]]
+        if argv[-2] in ("--margin", "--threshold", "--slack"):
+            # Rejected by argparse, before any file is read.
+            with pytest.raises(SystemExit) as exc_info:
+                main([*inputs, *argv[1:]])
+            code = exc_info.value.code
+        else:
+            code = main([*inputs, *argv[1:]])
+        assert code == 2
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_reconstruct_zero_data_margin_exits_1(self, tmp_path, capsys):
         from test_reconstruct import v_shape_network

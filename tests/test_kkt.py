@@ -72,6 +72,12 @@ class TestEstimateLambdas:
         assert report.stationarity_residual == 1.0
         np.testing.assert_array_equal(report.lambdas, 0.0)
 
+    @pytest.mark.parametrize("slack", [-1.0, math.nan, math.inf])
+    def test_bad_support_slack_rejected(self, slack):
+        net, data, _, _ = opposite_pair_network([1.0], k_pos=2, k_neg=2)
+        with pytest.raises(ValueError):
+            ml.estimate_lambdas(net, data, support_slack=slack)
+
     def test_complementary_slackness(self, symmetric_pair_run):
         data, _, net, _ = symmetric_pair_run
         slack = 0.1

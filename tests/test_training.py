@@ -213,6 +213,20 @@ class TestTrain:
         net, trace = ml.train(data, cfg)
         assert trace.reached_loss_below_1_over_n
 
+    def test_trace_records_residual_method(self, symmetric_pair_run):
+        data, _, net, trace = symmetric_pair_run
+        report = ml.estimate_lambdas(net, data)
+        assert trace.final().residual_method == report.residual_method
+        assert trace.final().kkt_residual == report.stationarity_residual
+
+    def test_dead_init_trace_says_degenerate(self):
+        # Seed 0 leaves the single neuron inactive on x = 0.7 for good.
+        data = dataset([[0.7]], [1])
+        cfg = ml.TrainConfig(width=1, max_steps=100, rng_seed=0, checkpoint_every=50)
+        _, trace = ml.train(data, cfg)
+        assert [(r.kkt_residual, r.residual_method) for r in trace.records] == [
+            (1.0, "degenerate")] * 3
+
     def test_retry_skips_dead_inits(self):
         data = dataset([[0.7]], [1])
         cfg = ml.TrainConfig(width=1, max_steps=400, loss_target=1e-4,
