@@ -81,7 +81,8 @@ class KktReport:
     # "direct" forms theta - sum lambda_i y_i g_i;
     # "direct+kink-refinement" also refined the subgradients at kinks and
     # reports the smaller residual; "quadratic-form" expands the square
-    # through the Gram matrix (large networks, no refinement).
+    # through the Gram matrix (large networks, no refinement);
+    # "empty-support": no point near the margin, residual reported as 1.
     residual_method: str = "direct"
 
 
@@ -188,16 +189,17 @@ def estimate_lambdas(
     duals are fixed to zero.  The residual is ||theta - sum lambda_i y_i g_i||
     relative to ||theta||, minimized jointly over the duals and over the
     admissible subgradient values at (point, neuron) pairs whose
-    pre-activation sits at a kink.  An empty support yields residual 1 and
-    zero duals.  The reported sigma_primes matrix keeps the strict 0/1
-    convention regardless of any kink refinement.  ``residual_method`` says
-    how the residual was computed (see :class:`KktReport`).  Raises
-    ValueError unless ``support_slack`` is nonnegative and finite.
+    pre-activation sits at a kink.  An empty support yields residual 1, zero
+    duals and the method ``empty-support``.  The reported sigma_primes matrix
+    keeps the strict 0/1 convention regardless of any kink refinement.
+    ``residual_method`` says how the residual was computed (see
+    :class:`KktReport`).  Raises ValueError unless ``support_slack`` is
+    nonnegative and finite.
     """
     if not 0.0 <= support_slack < math.inf:
         raise ValueError(f"support_slack must be nonnegative and finite: {support_slack!r}")
     xs, ys = data.points, data.labels
-    pre, act, out = _forward_arrays(xs, net.weights, net.biases, net.out_weights)
+    pre, act, out = _forward_arrays(xs @ net.weights.T, net.biases, net.out_weights)
     sigma = (pre > 0.0)
     _, m = _abs_and_margin(out)
 
@@ -205,7 +207,7 @@ def estimate_lambdas(
     sigma_int = sigma.astype(np.int8)
     lambdas = np.zeros(data.size)
     if not support.any():
-        return KktReport(m, (), lambdas, 1.0, sigma_int)
+        return KktReport(m, (), lambdas, 1.0, sigma_int, residual_method="empty-support")
 
     idx = np.nonzero(support)[0]
     s_x = xs[idx]

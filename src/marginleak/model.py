@@ -103,9 +103,6 @@ class NetworkParams:
         """Flatten to a single vector, ordered (weights, biases, out_weights)."""
         return np.concatenate([self.weights.ravel(), self.biases, self.out_weights])
 
-    def parameter_norm(self) -> float:
-        return float(np.linalg.norm(self.parameter_vector()))
-
 
 def params_from_vector(vec: np.ndarray, input_dim: int, width: int) -> NetworkParams:
     """Inverse of :meth:`NetworkParams.parameter_vector`."""
@@ -150,14 +147,8 @@ class LabeledDataset:
 
 
 def forward(net: NetworkParams, x) -> float:
-    """Evaluate the network at a single point."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (net.input_dim,):
-        raise DimensionMismatchError(
-            f"input has shape {x.shape}, network expects ({net.input_dim},)"
-        )
-    pre = net.weights @ x + net.biases
-    return float(np.maximum(pre, 0.0) @ net.out_weights)
+    """Evaluate the network at a single point (shape (d,))."""
+    return float(forward_batch(net, np.atleast_1d(np.asarray(x, dtype=float))[None, :])[0])
 
 
 def _check_inputs(net: NetworkParams, xs) -> np.ndarray:
@@ -169,10 +160,11 @@ def _check_inputs(net: NetworkParams, xs) -> np.ndarray:
     return xs
 
 
-def _forward_arrays(xs, weights, biases, out_weights):
-    # (pre-activations, activations, outputs).  No validation: the training
-    # loop calls this on raw parameter arrays at every step.
-    pre = xs @ weights.T + biases
+def _forward_arrays(lin, biases, out_weights):
+    # (pre-activations, activations, outputs) from a fresh array holding the
+    # pre-bias linear part xs @ weights.T; the biases are added into it in
+    # place.  No validation: the training loop calls this at every step.
+    pre = np.add(lin, biases, out=lin)
     act = np.maximum(pre, 0.0)
     return pre, act, act @ out_weights
 
@@ -180,7 +172,7 @@ def _forward_arrays(xs, weights, biases, out_weights):
 def forward_batch(net: NetworkParams, xs: np.ndarray) -> np.ndarray:
     """Evaluate the network at every row of ``xs`` (shape (n, d))."""
     xs = _check_inputs(net, xs)
-    return _forward_arrays(xs, net.weights, net.biases, net.out_weights)[2]
+    return _forward_arrays(xs @ net.weights.T, net.biases, net.out_weights)[2]
 
 
 def _require_univariate(net: NetworkParams) -> None:

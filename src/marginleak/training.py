@@ -71,8 +71,8 @@ class TrainConfig:
 @dataclass(frozen=True)
 class TraceRecord:
     """One checkpoint.  ``residual_method`` is the :class:`kkt.KktReport`
-    method behind ``kkt_residual``, or ``degenerate`` when the network output
-    was zero on every point and the residual was set to 1.
+    method behind ``kkt_residual`` or, when the network output was zero on
+    every point, ``degenerate``; it and ``empty-support`` report residual 1.
     """
 
     step: int
@@ -140,11 +140,11 @@ class Gradient:
         return np.concatenate([self.weights.ravel(), self.biases, self.out_weights])
 
 
-def _gradient_arrays(xs, ys, pre, act, z, v, kind: str):
-    """(d/dW, d/db, d/dv) of the mean loss, from a forward pass at (xs, ys)."""
+def _gradient_arrays(ys, pre, act, z, v, kind: str):
+    """(G, d/db, d/dv) of the mean loss from a forward pass; d/dW = G @ xs."""
     coeff = _loss_derivative(z, kind) * ys / ys.shape[0]  # (n,)
     weighted = (pre > 0.0) * coeff[:, None]  # (n, k)
-    return weighted.T @ xs * v[:, None], weighted.sum(axis=0) * v, act.T @ coeff
+    return (weighted * v).T, weighted.sum(axis=0) * v, act.T @ coeff
 
 
 def gradient(net: NetworkParams, data: LabeledDataset, kind: str = "exponential") -> Gradient:
@@ -154,9 +154,10 @@ def gradient(net: NetworkParams, data: LabeledDataset, kind: str = "exponential"
     pre-activation is strictly positive), matching the rest of the package.
     """
     xs = _check_inputs(net, data.points)
-    pre, act, out = _forward_arrays(xs, net.weights, net.biases, net.out_weights)
+    pre, act, out = _forward_arrays(xs @ net.weights.T, net.biases, net.out_weights)
     z = data.labels * out
-    return Gradient(*_gradient_arrays(xs, data.labels, pre, act, z, net.out_weights, kind))
+    rows, g_b, g_v = _gradient_arrays(data.labels, pre, act, z, net.out_weights, kind)
+    return Gradient(rows @ xs, g_b, g_v)
 
 
 def init_small(d: int, k: int, scale: float, seed: int) -> NetworkParams:
@@ -196,24 +197,28 @@ def train(data: LabeledDataset, cfg: TrainConfig) -> tuple[NetworkParams, TrainT
     only at the initial state).
     """
     init = init_small(data.dim, cfg.width, cfg.init_scale, cfg.rng_seed)
-    w = init.weights.copy()
+    w0 = init.weights
     b = init.biases.copy()
     v = init.out_weights.copy()
-    if cfg.ensure_active_neuron:
-        _rebias_first_neuron(w, b, data.points, cfg.init_scale)
-
     xs, ys = data.points, data.labels
+    if cfg.ensure_active_neuron:
+        _rebias_first_neuron(w0, b, xs, cfg.init_scale)
+
+    # Each update of W is a combination of the rows of xs, so W = W0 + C @ xs
+    # and xs @ W.T = a0 + gram @ C.T; W is formed only at checkpoints.
     n = data.size
+    a0 = xs @ w0.T
+    gram = xs @ xs.T
+    c = np.zeros((cfg.width, n))
     lr = cfg.learning_rate
-    growth_gate = 1.0 / n
     trace = TrainTrace()
 
-    def forward_state(w_, b_, v_):
-        pre, act, out = _forward_arrays(xs, w_, b_, v_)
+    def forward_state(c_, b_, v_):
+        pre, act, out = _forward_arrays(a0 + gram @ c_.T, b_, v_)
         z = ys * out
         return pre, act, z, float(np.mean(loss_values(z, cfg.loss_kind)))
 
-    pre, act, z, loss_now = forward_state(w, b, v)
+    pre, act, z, loss_now = forward_state(c, b, v)
     grads = None
 
     for step in range(cfg.max_steps + 1):
@@ -228,6 +233,7 @@ def train(data: LabeledDataset, cfg: TrainConfig) -> tuple[NetworkParams, TrainT
 
         last = step == cfg.max_steps
         if step % cfg.checkpoint_every == 0 or last:
+            w = w0 + c @ xs
             net_now = NetworkParams(w, b, v)
             min_margin = float(np.min(z))
             norm_sq = float(np.sum(w * w) + np.sum(b * b) + np.sum(v * v))
@@ -255,17 +261,17 @@ def train(data: LabeledDataset, cfg: TrainConfig) -> tuple[NetworkParams, TrainT
                 return net_now, trace
 
         if grads is None:
-            grads = _gradient_arrays(xs, ys, pre, act, z, v, cfg.loss_kind)
-        w_new = w - lr * grads[0]
+            grads = _gradient_arrays(ys, pre, act, z, v, cfg.loss_kind)
+        c_new = c - lr * grads[0]
         b_new = b - lr * grads[1]
         v_new = v - lr * grads[2]
-        pre_new, act_new, z_new, loss_new = forward_state(w_new, b_new, v_new)
+        pre_new, act_new, z_new, loss_new = forward_state(c_new, b_new, v_new)
         if not np.isfinite(loss_new):
             lr *= 0.5
             continue
-        fitting = loss_now >= growth_gate
+        fitting = loss_now >= 1.0 / n
         decreased = loss_new <= loss_now
-        w, b, v = w_new, b_new, v_new
+        c, b, v = c_new, b_new, v_new
         pre, act, z, loss_now = pre_new, act_new, z_new, loss_new
         grads = None
         if not fitting:

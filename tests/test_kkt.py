@@ -202,10 +202,12 @@ class TestResidualMethod:
         assert direct.residual_method != "quadratic-form"
         assert quad.stationarity_residual < 1e-6
 
-    def test_empty_support_counts_as_direct(self):
+    def test_empty_support_has_its_own_method(self):
         net = identity_1d_network()
         data = ml.LabeledDataset(np.array([[1.0]]), np.array([-1.0]))
-        assert ml.estimate_lambdas(net, data).residual_method == "direct"
+        report = ml.estimate_lambdas(net, data)
+        assert report.residual_method == "empty-support"
+        assert report.stationarity_residual == 1.0
 
 
 class TestDiagnosticBounds:
