@@ -160,12 +160,14 @@ def _check_inputs(net: NetworkParams, xs) -> np.ndarray:
     return xs
 
 
-def _forward_arrays(lin, biases, out_weights):
-    # (pre-activations, activations, outputs) from a fresh array holding the
-    # pre-bias linear part xs @ weights.T; the biases are added into it in
-    # place.  No validation: the training loop calls this at every step.
-    pre = np.add(lin, biases, out=lin)
-    act = np.maximum(pre, 0.0)
+def _forward_arrays(lin, offset, out_weights, act=None):
+    # (pre-activations, activations, outputs) from an array holding the
+    # linear part xs @ weights.T; ``offset`` (the biases, or in training the
+    # whole initial pre-activation) is added into it in place, and the
+    # activations go to ``act`` when given.  No validation: the training
+    # loop calls this at every step.
+    pre = np.add(lin, offset, out=lin)
+    act = np.maximum(pre, 0.0, out=act)
     return pre, act, act @ out_weights
 
 
@@ -274,18 +276,9 @@ def _merge_locations(locs: np.ndarray) -> np.ndarray:
     if locs.size == 0:
         return locs
     locs = np.sort(locs)
-    span = float(locs[-1] - locs[0])
-    tol = BREAKPOINT_MERGE_REL_TOL * span
-    merged = []
-    cluster = [locs[0]]
-    for x in locs[1:]:
-        if x - cluster[-1] <= tol:
-            cluster.append(x)
-        else:
-            merged.append(float(np.mean(cluster)))
-            cluster = [x]
-    merged.append(float(np.mean(cluster)))
-    return np.array(merged)
+    tol = BREAKPOINT_MERGE_REL_TOL * float(locs[-1] - locs[0])
+    clusters = np.split(locs, np.flatnonzero(np.diff(locs) > tol) + 1)
+    return np.array([float(np.mean(cluster)) for cluster in clusters])
 
 
 def to_piecewise_linear(net: NetworkParams) -> PiecewiseLinear:
@@ -297,9 +290,7 @@ def to_piecewise_linear(net: NetworkParams) -> PiecewiseLinear:
     """
     _require_univariate(net)
     live = _live_weight_mask(net) & (net.out_weights != 0.0)
-    locs = _merge_locations(
-        -net.biases[live] / net.weights[live, 0]
-    )
+    locs = _merge_locations(-net.biases[live] / net.weights[live, 0])
 
     w = net.weights[:, 0]
     b = net.biases
@@ -314,26 +305,16 @@ def to_piecewise_linear(net: NetworkParams) -> PiecewiseLinear:
         return PiecewiseLinear(np.empty(0), np.array([slope]), np.array([intercept]))
 
     span = max(1.0, float(locs[-1] - locs[0]))
-    reps = [float(locs[0]) - span]
-    for a, c in zip(locs[:-1], locs[1:]):
-        reps.append(float((a + c) / 2.0))
-    reps.append(float(locs[-1]) + span)
-
-    slopes, intercepts = zip(*(segment_at(r) for r in reps))
-    slopes = np.array(slopes)
-    intercepts = np.array(intercepts)
+    reps = [float(locs[0]) - span, *((locs[:-1] + locs[1:]) / 2.0), float(locs[-1]) + span]
+    slopes, intercepts = np.array([segment_at(r) for r in reps]).T
 
     # Drop boundaries with no actual change of linearity (e.g. neurons whose
     # contributions cancel); tolerance is relative to the overall scale.
     sl_tol = 1e-12 * max(1.0, float(np.max(np.abs(slopes))))
     ic_tol = 1e-12 * max(1.0, float(np.max(np.abs(intercepts))))
-    keep_bp = [
-        i
-        for i in range(locs.size)
-        if abs(slopes[i + 1] - slopes[i]) > sl_tol
-        or abs(intercepts[i + 1] - intercepts[i]) > ic_tol
-    ]
-    seg_keep = [0] + [i + 1 for i in keep_bp]
+    keep_bp = np.flatnonzero((np.abs(np.diff(slopes)) > sl_tol)
+                             | (np.abs(np.diff(intercepts)) > ic_tol))
+    seg_keep = np.concatenate([[0], keep_bp + 1])
     return PiecewiseLinear(locs[keep_bp], slopes[seg_keep], intercepts[seg_keep])
 
 

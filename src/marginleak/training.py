@@ -8,6 +8,7 @@ reachable in a finite number of steps.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
@@ -73,6 +74,8 @@ class TraceRecord:
     """One checkpoint.  ``residual_method`` is the :class:`kkt.KktReport`
     method behind ``kkt_residual`` or, when the network output was zero on
     every point, ``degenerate``; it and ``empty-support`` report residual 1.
+    ``learning_rate`` is the step size the next step would take and
+    ``refused_steps`` counts the steps refused so far.
     """
 
     step: int
@@ -82,6 +85,8 @@ class TraceRecord:
     normalized_margin: float
     kkt_residual: float
     residual_method: str
+    learning_rate: float
+    refused_steps: int
 
 
 TRACE_CSV_COLUMNS = tuple(f.name for f in fields(TraceRecord))
@@ -113,10 +118,10 @@ def loss_values(z: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
-def _loss_derivative(z: np.ndarray, kind: str) -> np.ndarray:
+def _loss_derivative(z: np.ndarray, kind: str, per: np.ndarray | None = None) -> np.ndarray:
+    """d loss / dz; for the exponential loss it reuses ``per`` = exp(-z) if given."""
     if kind == "exponential":
-        with np.errstate(over="ignore"):
-            return -np.exp(-z)
+        return np.negative(loss_values(z, kind) if per is None else per)
     # logistic: -1 / (1 + e^z), computed without overflow for large |z|
     with np.errstate(over="ignore"):
         return -1.0 / (1.0 + np.exp(z))
@@ -140,11 +145,18 @@ class Gradient:
         return np.concatenate([self.weights.ravel(), self.biases, self.out_weights])
 
 
-def _gradient_arrays(ys, pre, act, z, v, kind: str):
-    """(G, d/db, d/dv) of the mean loss from a forward pass; d/dW = G @ xs."""
-    coeff = _loss_derivative(z, kind) * ys / ys.shape[0]  # (n,)
-    weighted = (pre > 0.0) * coeff[:, None]  # (n, k)
-    return (weighted * v).T, weighted.sum(axis=0) * v, act.T @ coeff
+def _gradient_arrays(ys, act, z, v, kind: str, per=None, out=None):
+    """(G, d/dv) of the mean loss from a forward pass, G written into ``out``.
+
+    G[i, j] = loss'(z_i) y_i v_j / n if neuron j is active on point i, else
+    0: the gradient in the row space of x~ = [x, 1], so d/dW = G.T @ xs and
+    d/db = G.sum(axis=0).
+    """
+    coeff = _loss_derivative(z, kind, per) * ys / ys.shape[0]  # (n,)
+    g = np.sign(act, out=out)  # the 0/1 activity mask, as act >= 0
+    g *= coeff[:, None]
+    g *= v
+    return g, act.T @ coeff
 
 
 def gradient(net: NetworkParams, data: LabeledDataset, kind: str = "exponential") -> Gradient:
@@ -154,10 +166,9 @@ def gradient(net: NetworkParams, data: LabeledDataset, kind: str = "exponential"
     pre-activation is strictly positive), matching the rest of the package.
     """
     xs = _check_inputs(net, data.points)
-    pre, act, out = _forward_arrays(xs @ net.weights.T, net.biases, net.out_weights)
-    z = data.labels * out
-    rows, g_b, g_v = _gradient_arrays(data.labels, pre, act, z, net.out_weights, kind)
-    return Gradient(rows @ xs, g_b, g_v)
+    _, act, out = _forward_arrays(xs @ net.weights.T, net.biases, net.out_weights)
+    g, g_v = _gradient_arrays(data.labels, act, data.labels * out, net.out_weights, kind)
+    return Gradient(g.T @ xs, g.sum(axis=0), g_v)
 
 
 def init_small(d: int, k: int, scale: float, seed: int) -> NetworkParams:
@@ -190,95 +201,103 @@ def train(data: LabeledDataset, cfg: TrainConfig) -> tuple[NetworkParams, TrainT
     the loss multiplies the step size by ``lr_growth`` (stopping once the
     loss falls below LR_GROWTH_FREEZE_LOSS) and each step that increased it
     halves it, which keeps the margin growing at roughly log(lr_growth) per
-    step.  In both phases a step that would overflow is refused (halving the
-    step size) but still counts against ``max_steps``.  The trace's final
-    record always describes the returned parameters.  Raises
-    :class:`TrainingDivergedError` if the loss becomes non-finite (possible
-    only at the initial state).
+    step.  In both phases a step that would overflow the loss or an output
+    is refused (halving the step size, without a warning) but still counts
+    against ``max_steps``.  The trace's final record always describes the
+    returned parameters.  Raises :class:`TrainingDivergedError` if the
+    initial loss is non-finite, or if the parameters overflow unseen by the
+    refusal rule (in a neuron dead on every point) by a checkpoint.
     """
     init = init_small(data.dim, cfg.width, cfg.init_scale, cfg.rng_seed)
     w0 = init.weights
-    b = init.biases.copy()
+    b0 = init.biases.copy()
     v = init.out_weights.copy()
     xs, ys = data.points, data.labels
     if cfg.ensure_active_neuron:
-        _rebias_first_neuron(w0, b, xs, cfg.init_scale)
+        _rebias_first_neuron(w0, b0, xs, cfg.init_scale)
 
-    # Each update of W is a combination of the rows of xs, so W = W0 + C @ xs
-    # and xs @ W.T = a0 + gram @ C.T; W is formed only at checkpoints.
+    # With x~ = [x, 1], every update of (W, b) is a combination of the rows
+    # of x~: W = W0 + C.T @ xs and b = b0 + C.sum(axis=0) for C of shape
+    # (n, k), and the pre-activations are base + gram @ C.  The state and
+    # the proposed step each own a (C, pre, act) buffer set, swapped when a
+    # step is accepted; W and b are formed only at checkpoints.
     n = data.size
-    a0 = xs @ w0.T
-    gram = xs @ xs.T
-    c = np.zeros((cfg.width, n))
+    base = xs @ w0.T + b0
+    gram = xs @ xs.T + 1.0
+    state = [np.zeros((n, cfg.width)) for _ in range(3)]
+    trial = [np.empty((n, cfg.width)) for _ in range(3)]
+    g = np.empty((n, cfg.width))
     lr = cfg.learning_rate
+    refused = 0
     trace = TrainTrace()
+    caller_errstate = np.geterr()
 
-    def forward_state(c_, b_, v_):
-        pre, act, out = _forward_arrays(a0 + gram @ c_.T, b_, v_)
-        z = ys * out
-        return pre, act, z, float(np.mean(loss_values(z, cfg.loss_kind)))
+    def forward(c_, pre_, act_, v_):
+        np.matmul(gram, c_, out=pre_)
+        z_ = ys * _forward_arrays(pre_, base, v_, act=act_)[2]
+        per_ = loss_values(z_, cfg.loss_kind)
+        return z_, per_, float(per_.sum()) / n
 
-    pre, act, z, loss_now = forward_state(c, b, v)
-    grads = None
+    c, _, act = state
+    z, per, loss_now = forward(*state, v)
+    if not np.isfinite(loss_now):
+        trace.stop_reason = "diverged"
+        raise TrainingDivergedError("loss became non-finite at step 0", trace)
+    g_v = None
 
-    for step in range(cfg.max_steps + 1):
-        if not np.isfinite(loss_now):
-            trace.stop_reason = "diverged"
-            raise TrainingDivergedError(
-                f"loss became non-finite at step {step}", trace
-            )
-        if loss_now < 1.0 / n and not trace.reached_loss_below_1_over_n:
-            trace.reached_loss_below_1_over_n = True
-            trace.first_step_below_1_over_n = step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(cfg.max_steps + 1):
+            if loss_now < 1.0 / n and not trace.reached_loss_below_1_over_n:
+                trace.reached_loss_below_1_over_n = True
+                trace.first_step_below_1_over_n = step
 
-        last = step == cfg.max_steps
-        if step % cfg.checkpoint_every == 0 or last:
-            w = w0 + c @ xs
-            net_now = NetworkParams(w, b, v)
-            min_margin = float(np.min(z))
-            norm_sq = float(np.sum(w * w) + np.sum(b * b) + np.sum(v * v))
-            try:
-                report = kkt.estimate_lambdas(net_now, data)
-                residual, method = report.stationarity_residual, report.residual_method
-            except DegenerateNetworkError:
-                residual, method = 1.0, "degenerate"
-            trace.records.append(
-                TraceRecord(
-                    step=step,
-                    loss=loss_now,
-                    min_margin=min_margin,
-                    param_norm=float(np.sqrt(norm_sq)),
-                    normalized_margin=min_margin / norm_sq,
-                    kkt_residual=residual,
-                    residual_method=method,
-                )
-            )
-            if loss_now <= cfg.loss_target and residual <= cfg.kkt_residual_target:
-                trace.stop_reason = "targets-met"
-                return net_now, trace
-            if last:
-                trace.stop_reason = "max-steps"
-                return net_now, trace
+            last = step == cfg.max_steps
+            if step % cfg.checkpoint_every == 0 or last:
+                w, b = w0 + c.T @ xs, b0 + c.sum(axis=0)
+                norm_sq = float(np.sum(w * w) + np.sum(b * b) + np.sum(v * v))
+                if not math.isfinite(norm_sq):
+                    trace.stop_reason = "diverged"
+                    raise TrainingDivergedError(f"parameters overflowed by step {step}", trace)
+                net_now = NetworkParams(w, b, v)
+                min_margin = float(np.min(z))
+                try:
+                    with np.errstate(**caller_errstate):
+                        report = kkt.estimate_lambdas(net_now, data)
+                    residual, method = report.stationarity_residual, report.residual_method
+                except DegenerateNetworkError:
+                    residual, method = 1.0, "degenerate"
+                trace.records.append(TraceRecord(
+                    step, loss_now, min_margin, math.sqrt(norm_sq), min_margin / norm_sq,
+                    residual, method, lr, refused))
+                if loss_now <= cfg.loss_target and residual <= cfg.kkt_residual_target:
+                    trace.stop_reason = "targets-met"
+                    return net_now, trace
+                if last:
+                    trace.stop_reason = "max-steps"
+                    return net_now, trace
 
-        if grads is None:
-            grads = _gradient_arrays(ys, pre, act, z, v, cfg.loss_kind)
-        c_new = c - lr * grads[0]
-        b_new = b - lr * grads[1]
-        v_new = v - lr * grads[2]
-        pre_new, act_new, z_new, loss_new = forward_state(c_new, b_new, v_new)
-        if not np.isfinite(loss_new):
-            lr *= 0.5
-            continue
-        fitting = loss_now >= 1.0 / n
-        decreased = loss_new <= loss_now
-        c, b, v = c_new, b_new, v_new
-        pre, act, z, loss_now = pre_new, act_new, z_new, loss_new
-        grads = None
-        if not fitting:
-            if not decreased:
+            if g_v is None:
+                g_v = _gradient_arrays(ys, act, z, v, cfg.loss_kind, per, out=g)[1]
+            c_new = trial[0]
+            np.subtract(c, np.multiply(g, lr, out=c_new), out=c_new)
+            v_new = v - lr * g_v
+            z_new, per_new, loss_new = forward(*trial, v_new)
+            # A huge positive margin overflows an output but not the loss.
+            if not (math.isfinite(loss_new) and math.isfinite(z_new.max())):
+                refused += 1
                 lr *= 0.5
-            elif loss_now >= LR_GROWTH_FREEZE_LOSS:
-                lr *= cfg.lr_growth
+                continue
+            fitting = loss_now >= 1.0 / n
+            decreased = loss_new <= loss_now
+            state, trial = trial, state
+            c, _, act = state
+            v, z, per, loss_now = v_new, z_new, per_new, loss_new
+            g_v = None
+            if not fitting:
+                if not decreased:
+                    lr *= 0.5
+                elif loss_now >= LR_GROWTH_FREEZE_LOSS:
+                    lr *= cfg.lr_growth
 
     raise AssertionError("unreachable")
 
@@ -316,6 +335,6 @@ def write_trace_csv(trace: TrainTrace, path) -> None:
     """Write checkpoint records as CSV, one column per :class:`TraceRecord` field.
 
     Columns: step,loss,min_margin,param_norm,normalized_margin,kkt_residual,
-    residual_method.
+    residual_method,learning_rate,refused_steps.
     """
     _write_csv(path, TRACE_CSV_COLUMNS, (astuple(r) for r in trace.records))

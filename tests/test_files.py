@@ -31,16 +31,18 @@ def test_dataset_csv(tmp_path):
 
 def test_trace_csv(tmp_path):
     trace = TrainTrace(records=[
-        TraceRecord(0, 1.0, -0.5, 0.25, -8.0, 1.0, "degenerate"),
-        TraceRecord(100, 1e-9, 2.0 / 3.0, 4.0, 0.125, 0.001, "direct+kink-refinement"),
+        TraceRecord(0, 1.0, -0.5, 0.25, -8.0, 1.0, "degenerate", 0.01, 0),
+        TraceRecord(100, 1e-9, 2.0 / 3.0, 4.0, 0.125, 0.001, "direct+kink-refinement",
+                    0.1 * 1.02**3, 2),
     ])
     path = tmp_path / "trace.csv"
     ml.write_trace_csv(trace, path)
     assert path.read_bytes() == (
         b"step,loss,min_margin,param_norm,normalized_margin,kkt_residual,"
-        b"residual_method\r\n"
-        b"0,1.0,-0.5,0.25,-8.0,1.0,degenerate\r\n"
-        b"100,1e-09,0.6666666666666666,4.0,0.125,0.001,direct+kink-refinement\r\n"
+        b"residual_method,learning_rate,refused_steps\r\n"
+        b"0,1.0,-0.5,0.25,-8.0,1.0,degenerate,0.01,0\r\n"
+        b"100,1e-09,0.6666666666666666,4.0,0.125,0.001,direct+kink-refinement,"
+        b"0.10612080000000002,2\r\n"
     )
 
 

@@ -5,7 +5,13 @@ import pytest
 
 import marginleak as ml
 from marginleak.model import params_from_vector
-from marginleak.training import TRACE_CSV_COLUMNS, loss_values
+from marginleak.training import (
+    LR_GROWTH_FREEZE_LOSS,
+    TRACE_CSV_COLUMNS,
+    _gradient_arrays,
+    _loss_derivative,
+    loss_values,
+)
 from train_reference import reference_train
 
 
@@ -270,8 +276,11 @@ class TestRowSpaceMatchesWeightSpace:
         net, trace = ml.train(data, cfg)
         ref_net, ref_trace, refused = reference_train(data, cfg)
         assert trace.stop_reason == ref_trace.stop_reason
-        assert [(r.step, r.residual_method) for r in trace.records] == [
-            (r.step, r.residual_method) for r in ref_trace.records]
+        assert [(r.step, r.residual_method, r.learning_rate, r.refused_steps)
+                for r in trace.records] == [
+            (r.step, r.residual_method, r.learning_rate, r.refused_steps)
+            for r in ref_trace.records]
+        assert trace.final().refused_steps == refused
         assert trace.first_step_below_1_over_n == ref_trace.first_step_below_1_over_n
         for name in ("loss", "min_margin", "param_norm", "normalized_margin", "kkt_residual"):
             np.testing.assert_allclose(
@@ -307,6 +316,104 @@ class TestRowSpaceMatchesWeightSpace:
         trace, refused = self.check(data, cfg)
         assert refused == 2
         assert trace.reached_loss_below_1_over_n
+
+
+class TestOverflowSteps:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_output_overflow_is_refused(self):
+        # The sixth proposed step would leave a neuron's input weight at
+        # -inf, its output weight at 1.5e308 and one output at +inf, while
+        # the loss stays finite (0.8).  It is refused like a loss overflow,
+        # and so is every later step: at the loss of 5e305 reached by then,
+        # each step is large enough to overflow too.
+        data = dataset([[77.35], [53.19], [178.53], [-223.22], [66.01]], [-1, 1, -1, 1, 1])
+        cfg = ml.TrainConfig(width=2, init_scale=0.019728046885258074,
+                             learning_rate=24.81566359639942, max_steps=200,
+                             checkpoint_every=50, rng_seed=48)
+        net, trace = ml.train(data, cfg)
+        assert trace.stop_reason == "max-steps"
+        assert np.all(np.isfinite(trace.losses()))
+        with np.errstate(all="ignore"):
+            _, ref_trace, refused = reference_train(data, cfg)
+        assert [r.refused_steps for r in trace.records] == [
+            r.refused_steps for r in ref_trace.records]
+        assert trace.final().refused_steps == refused == 199
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["exponential", "logistic"])
+    def test_frozen_step_size_keeps_parameters_finite(self, kind):
+        # lr_growth 1.5 drives the loss below LR_GROWTH_FREEZE_LOSS (a
+        # margin near 230) by step 700; the step size then stays put.
+        data = dataset([[-1.0], [0.5], [1.0]], [-1, 1, 1])
+        cfg = ml.TrainConfig(width=4, loss_kind=kind, init_scale=1e-2, learning_rate=0.2,
+                             lr_growth=1.5, max_steps=1000, loss_target=1e-300,
+                             kkt_residual_target=1e-300, rng_seed=1)
+        net, trace = ml.train(data, cfg)
+        assert trace.final().loss < LR_GROWTH_FREEZE_LOSS
+        frozen = [r.learning_rate for r in trace.records if r.step >= 700]
+        assert len(frozen) == 4 and len(set(frozen)) == 1
+        assert trace.final().refused_steps == 0
+        z = data.labels * ml.forward_batch(net, data.points)
+        assert np.all(np.isfinite(z)) and np.min(z) > 200.0
+
+
+# The exp edge: exp(-z) overflows for z below about -709.78, is subnormal
+# for z from about 708.4 to 745.1, and underflows to 0 above.
+EDGE_Z = (-746.0, -745.0, 744.0, 745.0, 746.0)
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestExpEdge:
+    @pytest.mark.parametrize("kind", ["exponential", "logistic"])
+    def test_loss_and_derivative(self, kind):
+        z = np.array(EDGE_Z)
+        per = loss_values(z, kind)
+        deriv = _loss_derivative(z, kind)
+        if kind == "exponential":
+            assert per[0] == per[1] == math.inf
+            assert 0.0 < per[3] < per[2] < 1e-320 and per[4] == 0.0
+            np.testing.assert_array_equal(bits(deriv), bits(-per))
+        else:
+            assert per.tolist()[:2] == [746.0, 745.0]
+            assert 0.0 < per[3] < per[2] < 1e-320 and per[4] == 0.0
+            assert deriv.tolist()[:2] == [-1.0, -1.0]
+            # -1 / (1 + e^z) is -0 once e^z overflows, near z = 709.78.
+            assert deriv.tolist()[2:] == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("kind", ["exponential", "logistic"])
+    @pytest.mark.parametrize("z", EDGE_Z)
+    def test_gradient_matches_hand_formula(self, kind, z):
+        # One neuron x -> max(0, x) on the point x = |z| labeled sign(z).
+        y = math.copysign(1.0, z)
+        net = ml.NetworkParams.from_neurons([([1.0], 0.0, 1.0)])
+        g = ml.gradient(net, dataset([[abs(z)]], [y]), kind)
+        coeff = float(_loss_derivative(np.array([z]), kind)[0]) * y
+        assert g.biases[0] == coeff
+        assert g.weights[0, 0] == g.out_weights[0] == coeff * abs(z)
+        assert not np.any(np.isnan(g.flat()))
+
+    def test_shared_exp_gives_the_same_bits(self):
+        rng = np.random.default_rng(0)
+        z = np.concatenate([EDGE_Z, rng.normal(0.0, 300.0, 200)])
+        with np.errstate(over="ignore"):
+            textbook = -np.exp(-z)
+        per = loss_values(z, "exponential")
+        np.testing.assert_array_equal(bits(_loss_derivative(z, "exponential", per)),
+                                      bits(textbook))
+        np.testing.assert_array_equal(bits(_loss_derivative(z, "exponential")),
+                                      bits(textbook))
+        ys = np.where(np.arange(z.size) % 2 == 0, 1.0, -1.0)
+        act = np.maximum(rng.normal(size=(z.size, 7)), 0.0)
+        v = rng.normal(size=7)
+        with np.errstate(invalid="ignore"):  # 0 * inf at inactive overflowed entries
+            shared = _gradient_arrays(ys, act, z, v, "exponential", per)
+            fresh = _gradient_arrays(ys, act, z, v, "exponential")
+        for a, b in zip(shared, fresh):
+            np.testing.assert_array_equal(bits(a), bits(b))
 
 
 class TestTraceCsv:

@@ -46,7 +46,7 @@ def reference_train(
     """Weight-space gradient descent with the schedule and checks of ``train``.
 
     Returns (net, trace, refused), where ``refused`` counts the steps refused
-    because the loss would have overflowed.
+    because the loss or an output would have overflowed.
     """
     init = init_small(data.dim, cfg.width, cfg.init_scale, cfg.rng_seed)
     w = init.weights.copy()
@@ -92,6 +92,7 @@ def reference_train(
                 step=step, loss=loss_now, min_margin=min_margin,
                 param_norm=float(np.sqrt(norm_sq)), normalized_margin=min_margin / norm_sq,
                 kkt_residual=residual, residual_method=method,
+                learning_rate=lr, refused_steps=refused,
             ))
             if loss_now <= cfg.loss_target and residual <= cfg.kkt_residual_target:
                 trace.stop_reason = "targets-met"
@@ -106,7 +107,7 @@ def reference_train(
         b_new = b - lr * grads[1]
         v_new = v - lr * grads[2]
         pre_new, act_new, z_new, loss_new = forward_state(w_new, b_new, v_new)
-        if not np.isfinite(loss_new):
+        if not (np.isfinite(loss_new) and np.all(np.isfinite(z_new))):
             refused += 1
             lr *= 0.5
             continue
