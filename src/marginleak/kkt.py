@@ -34,6 +34,8 @@ ARGMIN_REL_SLACK = 1e-9
 # interior subgradient values there.
 KINK_REL_TOL = 1e-4
 _REFINE_MAX_PASSES = 20
+# Most pseudo-inverse elements one refinement chunk gathers (at least one neuron's).
+_KINK_CHUNK_ELEMENTS = 1 << 15
 
 # Above this support size times parameter count the residual is taken from the
 # quadratic form ||theta||^2 - 2 lambda.rhs + lambda.gram.lambda, without kink
@@ -150,9 +152,11 @@ def _refine_kink_subgradients(
     is non-increasing; entries of sigma_work flagged as kinks move freely
     inside [0, 1].  Neuron j's kink entries solve
     min ||[w_j, b_j] / v_j - sum_t c_t s_tj x~_t|| with c = lambda * y, whose
-    non-kink part is fixed.  That least-squares basis depends only on the
-    neuron's kink rows, so neurons sharing a kink pattern are solved together.
-    Each neuron reads only its own non-kink entries, which no pass writes.
+    non-kink part is fixed.  That basis depends only on the neuron's kink rows:
+    the bases of all patterns with r kink rows are pseudo-inverted as one
+    (P_r, d+1, r) stack with lstsq's cutoff eps * max(d+1, r), which gives
+    lstsq's minimum-norm solution, and applied to the neurons in bounded
+    chunks.  Each neuron reads only its own non-kink entries; no pass writes them.
     """
     v = net.out_weights
     neurons = np.nonzero(kink.any(axis=0) & (v != 0.0))[0]
@@ -160,6 +164,17 @@ def _refine_kink_subgradients(
     group = group.ravel()
     target = np.column_stack([net.weights, net.biases])[neurons] / v[neurons, None]
     fixed_sigma = np.where(kink, 0.0, sigma_work)[:, neurons]
+    # Per kink-row count r: the patterns' kink rows (P_r, r), the cutoff, and
+    # chunks of (member neurons' pattern places in the stack, places in `neurons`).
+    counts = patterns.sum(axis=0)
+    stacks = []
+    for r in np.flatnonzero(np.bincount(counts)):
+        in_r, members = np.nonzero(counts == r)[0], np.nonzero(counts[group] == r)[0]
+        parts = -(-members.size // max(1, _KINK_CHUNK_ELEMENTS // (r * s_xt.shape[1])))
+        which = np.searchsorted(in_r, group[members])
+        stacks.append((np.nonzero(patterns[:, in_r].T)[1].reshape(-1, r),
+                       np.finfo(float).eps * max(r, s_xt.shape[1]),  # lstsq's rcond=None
+                       list(zip(np.array_split(which, parts), np.array_split(members, parts)))))
     # The caller's solve is the first pass.  Stop once a solve gains less
     # than 0.1 % on the one before; the first is compared with the zero-dual
     # residual 1.
@@ -170,11 +185,11 @@ def _refine_kink_subgradients(
         c = lam * s_y
         free = target - (fixed_sigma * c[:, None]).T @ s_xt
         basis_rows = c[:, None] * s_xt
-        for g in range(patterns.shape[1]):
-            rows = np.nonzero(patterns[:, g])[0]
-            members = group == g
-            sol, *_ = np.linalg.lstsq(basis_rows[rows].T, free[members].T, rcond=None)
-            sigma_work[np.ix_(rows, neurons[members])] = np.clip(sol, 0.0, 1.0)
+        for rows, cutoff, chunks in stacks:
+            pinv = np.linalg.pinv(basis_rows[rows].transpose(0, 2, 1), rcond=cutoff)
+            for which, members in chunks:
+                sol = (pinv[which] @ free[members, :, None])[..., 0]
+                sigma_work[rows[which], neurons[members, None]] = np.clip(sol, 0.0, 1.0)
         previous = residual
         lam, residual = solve(sigma_work)
     return lam, residual
@@ -298,14 +313,9 @@ def diagnostic_bounds(
     upper_ok = bool(
         np.all(pos_sums <= upper + slack) and np.all(neg_sums <= upper + slack)
     )
-    lower_ok = True
-    if math.isfinite(lower):
-        lslack = 1e-9 * max(1.0, abs(lower))
-        for i in report.support_indices:
-            side = pos_sums[i] if ys[i] > 0 else neg_sums[i]
-            if side < lower - lslack:
-                lower_ok = False
-                break
+    sup = list(report.support_indices)
+    side = np.where(ys[sup] > 0, pos_sums[sup], neg_sums[sup])  # the label's side
+    lower_ok = not (math.isfinite(lower) and np.any(side < lower - 1e-9 * max(1.0, abs(lower))))
 
     loss_value = training.loss(net, data, loss_kind)
     margin_lower_ok = not (loss_value < 1.0 / (2.0 * math.e)) or (

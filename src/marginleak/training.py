@@ -122,9 +122,9 @@ def _loss_derivative(z: np.ndarray, kind: str, per: np.ndarray | None = None) ->
     """d loss / dz; for the exponential loss it reuses ``per`` = exp(-z) if given."""
     if kind == "exponential":
         return np.negative(loss_values(z, kind) if per is None else per)
-    # logistic: -1 / (1 + e^z), computed without overflow for large |z|
-    with np.errstate(over="ignore"):
-        return -1.0 / (1.0 + np.exp(z))
+    # logistic: -1 / (1 + e^z), as -e^-z / (1 + e^-z) for z > 0 so no exp overflows
+    e = np.exp(-np.abs(z))
+    return np.where(z > 0.0, -e, -1.0) / (1.0 + e)
 
 
 def loss(net: NetworkParams, data: LabeledDataset, kind: str = "exponential") -> float:

@@ -120,19 +120,30 @@ class TestConstructionSuite:
             assert np.max(np.abs(report.lambdas - lam)) < 1e-6
 
 
-def _trained(data, width):
+def _trained(data, width, checkpoint_every=500):
     cfg = ml.TrainConfig(
         width=width, loss_kind="exponential", init_scale=1e-2, learning_rate=1e-2,
         lr_growth=1.02, max_steps=2500, loss_target=1e-8, kkt_residual_target=5e-3,
-        rng_seed=0, checkpoint_every=500,
+        rng_seed=0, checkpoint_every=checkpoint_every,
     )
     return ml.train(data, cfg)[0]
 
 
-def _kink_counts(net, data):
-    # Kink rows per neuron over the whole dataset, with the estimator's tolerance.
+def _kink_rows(net, data):
+    # (point, neuron) pairs at a kink, with the estimator's tolerance.
     pre = data.points @ net.weights.T + net.biases
-    return np.sum(np.abs(pre) <= ml.kkt.KINK_REL_TOL * np.max(np.abs(pre), axis=0), axis=0)
+    return np.abs(pre) <= ml.kkt.KINK_REL_TOL * np.max(np.abs(pre), axis=0)
+
+
+def _kink_counts(net, data):
+    # Kink rows per neuron over the whole dataset.
+    return np.sum(_kink_rows(net, data), axis=0)
+
+
+def _support_kink_counts(net, data, report):
+    # Kink rows per kinked neuron over the support, as one refinement call sees them.
+    counts = _kink_rows(net, data)[list(report.support_indices)].sum(axis=0)
+    return counts[(counts > 0) & (net.out_weights != 0.0)]
 
 
 def _with_extra_point(data, point):
@@ -190,6 +201,43 @@ class TestBatchedKinkRefinement:
         assert np.max(_kink_counts(net, near)) >= 2
         report = self.assert_matches_reference(net, near)
         assert np.count_nonzero(report.lambdas) == 2
+
+    def test_one_call_spans_several_kink_row_counts(self):
+        data = _sample_labeled(20, 20, 1.0, seed=1)
+        net = _trained(data, 64)
+        report = self.assert_matches_reference(net, data)
+        assert report.residual_method == "direct+kink-refinement"
+        assert np.unique(_support_kink_counts(net, data, report)).size >= 3
+
+    @pytest.mark.parametrize("chunk", [1, 300])
+    def test_pseudo_inverses_applied_in_chunks(self, monkeypatch, chunk):
+        # 1: every chunk is one neuron, whose block exceeds the budget;
+        # 300: the larger kink-row groups split into several chunks.
+        monkeypatch.setattr(ml.kkt, "_KINK_CHUNK_ELEMENTS", chunk)
+        data = _sample_labeled(20, 20, 1.0, seed=1)
+        report = self.assert_matches_reference(_trained(data, 64), data)
+        assert report.residual_method == "direct+kink-refinement"
+
+    def test_duplicate_support_points_on_a_shared_kink(self):
+        # Both copies of point 3 keep a positive dual, so the two-row kink
+        # basis of every neuron with its kink there has two parallel nonzero
+        # columns: rank 1, and only the minimum-norm split matches lstsq.
+        data = _two_cluster_1d_dataset(6, seed=0)
+        net = _trained(data, 64)
+        dup = ml.LabeledDataset(np.vstack([data.points, data.points[3]]),
+                                np.append(data.labels, data.labels[3]))
+        assert np.count_nonzero(_kink_rows(net, dup)[[3, 6]].all(axis=0)) >= 2
+        report = self.assert_matches_reference(net, dup)
+        assert report.residual_method == "direct+kink-refinement"
+        assert report.lambdas[3] > 0.0 and report.lambdas[6] > 0.0
+
+    def test_trained_d100_checkpoint(self):
+        # The margin-d100 cell's shape and schedule at width 256.
+        data = _sample_labeled(100, 20, 1.0, seed=0)
+        net = _trained(data, 256, checkpoint_every=100)
+        report = self.assert_matches_reference(net, data)
+        assert report.residual_method == "direct+kink-refinement"
+        assert np.unique(_support_kink_counts(net, data, report)).size >= 3
 
 
 class TestResidualMethod:
