@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FileFormatError
-from .model import LabeledDataset, _read_csv, _write_csv
+from .model import LabeledDataset, _read_csv, _write_number_csv
 
 KINDS = ("uniform-sphere", "gaussian", "gaussian-mixture")
 
@@ -169,10 +169,10 @@ def write_dataset_csv(data: LabeledDataset, path) -> None:
     The first line is a metadata comment carrying d and n; the second is the
     column header.
     """
-    _write_csv(
+    _write_number_csv(
         path,
         [f"x{i}" for i in range(data.dim)] + ["label"],
-        (row + [int(label)] for row, label in zip(data.points.tolist(), data.labels)),
+        (row.tolist() + [int(label)] for row, label in zip(data.points, data.labels)),
         f"labeled-dataset d={data.dim} n={data.size}",
     )
 
@@ -187,16 +187,17 @@ def read_dataset_csv(path) -> LabeledDataset:
     ):
         raise FileFormatError(f"unexpected dataset header: {header}")
     d = len(header) - 1
-    points, labels = [], []
-    for row in rows:
-        if len(row) != d + 1:
-            raise FileFormatError(f"row has {len(row)} fields, expected {d + 1}")
-        try:
-            points.append([float(c) for c in row[:-1]])
-            labels.append(float(row[-1]))
-        except ValueError as exc:
-            raise FileFormatError(f"non-numeric dataset entry: {exc}") from exc
+    body = []
     try:
-        return LabeledDataset(np.array(points), np.array(labels))
+        for row in rows:
+            if len(row) != d + 1:
+                raise FileFormatError(f"row has {len(row)} fields, expected {d + 1}")
+            # numpy parses each cell as float() does, errors included.
+            body.append(np.array(row, dtype=float))
+    except ValueError as exc:
+        raise FileFormatError(f"non-numeric dataset entry: {exc}") from exc
+    body = np.array(body).reshape(-1, d + 1)
+    try:
+        return LabeledDataset(body[:, :-1], body[:, -1])
     except ValueError as exc:
         raise FileFormatError(str(exc)) from exc

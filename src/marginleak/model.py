@@ -174,7 +174,9 @@ def _forward_arrays(lin, offset, out_weights, act=None):
 def forward_batch(net: NetworkParams, xs: np.ndarray) -> np.ndarray:
     """Evaluate the network at every row of ``xs`` (shape (n, d))."""
     xs = _check_inputs(net, xs)
-    return _forward_arrays(xs @ net.weights.T, net.biases, net.out_weights)[2]
+    # The fresh linear part also takes the activations: one (n, k) array.
+    lin = xs @ net.weights.T
+    return _forward_arrays(lin, net.biases, net.out_weights, act=lin)[2]
 
 
 def _require_univariate(net: NetworkParams) -> None:
@@ -320,12 +322,16 @@ def to_piecewise_linear(net: NetworkParams) -> PiecewiseLinear:
 
 # --- on-disk formats ---------------------------------------------------------
 # A CSV file is an optional "# ..." metadata line ending in "\n", then a
-# header and data rows written by the csv module, each ending in "\r\n".
-# Float cells are passed as floats, which the csv module writes with repr
-# (full round-trip precision).  Readers skip blank lines and lines starting
-# with "#".  A JSON document is written with indent=1 and a trailing newline,
-# NaN and infinities as NaN/Infinity.  The helpers are underscore-named so
-# that their time counts toward the public reader or writer calling them.
+# header and data rows with the csv module's bytes, each ending in "\r\n".
+# Float cells are written with repr (full round-trip precision).  Rows that
+# hold only numbers are joined directly (_write_number_csv): the repr of a
+# float and the text of an int hold no delimiter, quote or line break, so
+# the csv module would write the same bytes.  Readers skip blank lines and
+# lines starting with "#".  A JSON document is written with indent=1 and a
+# trailing newline, NaN and infinities as NaN/Infinity; the model document
+# is rendered directly with the same bytes (see save_network).  The helpers
+# are underscore-named so that their time counts toward the public reader
+# or writer calling them.
 
 
 def _write_csv(path, header, rows, comment: str | None = None) -> None:
@@ -336,6 +342,14 @@ def _write_csv(path, header, rows, comment: str | None = None) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _write_number_csv(path, header, rows, comment: str) -> None:
+    """:func:`_write_csv` for rows of Python floats and ints, joined directly."""
+    with Path(path).open("w", newline="") as fh:
+        fh.write(f"# {comment}\n")
+        csv.writer(fh).writerow(header)
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
 def _read_csv(path):
@@ -357,16 +371,21 @@ def _write_json(path, doc) -> None:
 
 
 def save_network(net: NetworkParams, path) -> None:
-    """Write the versioned model document (JSON, full round-trip precision)."""
-    doc = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "input_dim": net.input_dim,
-        "width": net.width,
-        "neurons": [
-            {"w": list(map(float, w)), "b": b, "v": v} for w, b, v in net.neurons()
-        ],
-    }
-    _write_json(path, doc)
+    """Write the versioned model document (JSON, full round-trip precision).
+
+    The bytes are those of ``json.dumps(doc, indent=1)`` plus a newline,
+    rendered directly: json writes a finite float with ``float.__repr__``,
+    and every parameter is finite.
+    """
+    neurons = ",\n".join(
+        '  {\n   "w": [\n    ' + ",\n    ".join(map(repr, w.tolist()))
+        + f'\n   ],\n   "b": {b!r},\n   "v": {v!r}\n  }}'
+        for w, b, v in net.neurons()
+    )
+    Path(path).write_text(
+        f'{{\n "format_version": {MODEL_FORMAT_VERSION},\n "input_dim": {net.input_dim},\n'
+        f' "width": {net.width},\n "neurons": [\n{neurons}\n ]\n}}\n'
+    )
 
 
 def load_network(path) -> NetworkParams:

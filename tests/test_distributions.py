@@ -1,9 +1,14 @@
+import csv
+import io
+
 import hypothesis
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 import marginleak as ml
+from marginleak.cli import main
+from test_model import FILE_FLOATS, SPECIAL_FLOATS, same_bits
 
 
 class TestSpecValidation:
@@ -173,3 +178,50 @@ class TestDatasetCsv:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ml.FileFormatError):
             ml.read_dataset_csv(path)
+
+    @pytest.mark.parametrize("body", [
+        "x0,x1,label\n0.5,1.0,1\n0.5,1\n",
+        "x0,x1,label\nnan,1.0,1\n",
+        "x0,x1,label\n0.5,inf,-1\n",
+        "x0,x1,label\n1e309,1.0,1\n",
+        "x0,x1,label\n0.5,1.0,yes\n",
+        "# labeled-dataset d=2 n=0\nx0,x1,label\n",
+    ], ids=["ragged-row", "nan-cell", "inf-cell", "overflowing-cell", "non-numeric-label",
+            "no-data-rows"])
+    def test_malformed_file_rejected_and_train_exits_2(self, tmp_path, capsys, body):
+        path = tmp_path / "bad.csv"
+        path.write_text(body)
+        with pytest.raises(ml.FileFormatError):
+            ml.read_dataset_csv(path)
+        model = tmp_path / "model.json"
+        assert main(["train", "--data", str(path), "--out-model", str(model),
+                     "--out-trace", str(tmp_path / "trace.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not model.exists()
+
+
+
+@hypothesis.settings(
+    deadline=None, max_examples=60,
+    suppress_health_check=[hypothesis.HealthCheck.function_scoped_fixture],
+)
+@hypothesis.given(
+    d=st.integers(1, 4), n=st.integers(1, 4),
+    values=st.lists(FILE_FLOATS, min_size=16, max_size=16),
+    labels=st.lists(st.sampled_from([-1.0, 1.0]), min_size=4, max_size=4),
+)
+@hypothesis.example(d=1, n=1, values=(SPECIAL_FLOATS * 3)[:16], labels=[1.0] * 4)
+@hypothesis.example(d=4, n=4, values=(SPECIAL_FLOATS * 3)[:16], labels=[-1.0, 1.0] * 2)
+def test_dataset_file_matches_csv_module_and_round_trips(tmp_path, d, n, values, labels):
+    data = ml.LabeledDataset(np.reshape(values[: n * d], (n, d)), np.array(labels[:n]))
+    path = tmp_path / "data.csv"
+    ml.write_dataset_csv(data, path)
+    expected = io.StringIO(newline="")
+    expected.write(f"# labeled-dataset d={d} n={n}\n")
+    writer = csv.writer(expected)
+    writer.writerow([f"x{i}" for i in range(d)] + ["label"])
+    writer.writerows(row + [int(y)] for row, y in zip(data.points.tolist(), labels))
+    assert path.read_bytes() == expected.getvalue().encode()
+    back = ml.read_dataset_csv(path)
+    assert same_bits(back.points, data.points)
+    assert same_bits(back.labels, data.labels)

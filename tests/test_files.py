@@ -1,9 +1,11 @@
 """Exact bytes of every file the package writes, on tiny fixed inputs.
 
 The shared convention: an optional ``# ...`` metadata line ending in ``\\n``,
-then csv-module rows (header first) ending in ``\\r\\n``, floats at full
-round-trip precision (``repr``); JSON documents are ``indent=1`` with a
-trailing newline.
+then rows (header first) with the csv module's bytes, each ending in
+``\\r\\n``, floats at full round-trip precision (``repr``); JSON documents are
+``indent=1`` with a trailing newline.  The dataset rows and the model document
+are rendered directly; ``test_model.py`` and ``test_distributions.py`` check
+their bytes against the csv and json modules on random values.
 """
 import math
 

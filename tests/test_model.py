@@ -206,6 +206,45 @@ class TestModelFile:
             ml.load_network(path)
 
 
+# Exact-bits cases for the model and dataset file round trips: the smallest
+# subnormal, a negative zero, the largest magnitudes, and reprs with and
+# without exponents.
+SPECIAL_FLOATS = [-0.0, 5e-324, 1e-300, 1e308, 1e16, 3.0, 0.1]
+FILE_FLOATS = st.one_of(
+    st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@hypothesis.settings(
+    deadline=None, max_examples=60,
+    suppress_health_check=[hypothesis.HealthCheck.function_scoped_fixture],
+)
+@hypothesis.given(
+    d=st.integers(1, 4), k=st.integers(1, 4),
+    values=st.lists(FILE_FLOATS, min_size=24, max_size=24),
+)
+@hypothesis.example(d=1, k=1, values=(SPECIAL_FLOATS * 4)[:24])
+@hypothesis.example(d=4, k=4, values=(SPECIAL_FLOATS * 4)[:24])
+def test_model_file_matches_json_module_and_round_trips(tmp_path, d, k, values):
+    net = params_from_vector(np.array(values[: k * (d + 2)]), d, k)
+    path = tmp_path / "model.json"
+    ml.save_network(net, path)
+    doc = {
+        "format_version": 1, "input_dim": d, "width": k,
+        "neurons": [{"w": list(map(float, w)), "b": b, "v": v} for w, b, v in net.neurons()],
+    }
+    assert path.read_bytes() == (json.dumps(doc, indent=1) + "\n").encode()
+    back = ml.load_network(path)
+    assert same_bits(back.weights, net.weights)
+    assert same_bits(back.biases, net.biases)
+    assert same_bits(back.out_weights, net.out_weights)
+
+
 def test_parameter_vector_round_trip():
     rng = np.random.default_rng(5)
     net = random_network(rng, 4, 3)
