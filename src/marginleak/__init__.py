@@ -51,6 +51,7 @@ from .membership import (
     evaluate_attack,
     membership_score,
     membership_scores,
+    membership_verdicts,
     write_evaluation_csv,
 )
 from .model import (

@@ -17,6 +17,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import experiment, kkt, membership, reconstruct, training
 from .distributions import (
     DistributionSpec,
@@ -76,8 +78,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
             p.add_argument(flag, type=int, default=64)
         elif f.name == "loss_kind":
             p.add_argument(flag, dest=f.name, choices=training.LOSS_KINDS, default=f.default)
-        elif isinstance(f.default, bool):
-            p.add_argument(flag, dest=f.name, action="store_true")
         else:
             p.add_argument(flag, dest=f.name, type=type(f.default), default=f.default)
 
@@ -143,57 +143,53 @@ def _cmd_attack_reconstruct(args) -> int:
     return 0
 
 
-def _read_scores_csv(path) -> list[tuple[str, float]]:
+def _read_scores_csv(path) -> tuple[list[str], np.ndarray]:
+    """(point ids, scores) of a scores file; scores are |Phi(x)|: finite, nonnegative."""
     header, rows = _read_csv(path)
     if header is None or header[:2] != ["point_id", "score"]:
         raise FileFormatError("scores file must have header point_id,score")
-    out = []
-    for row in rows:
-        try:
-            score = float(row[1])
-        except (IndexError, ValueError) as exc:
-            raise FileFormatError(f"bad scores row {row!r}") from exc
-        # Scores are |Phi(x)|: finite and nonnegative.
-        if not 0.0 <= score < math.inf:
-            raise FileFormatError(f"score must be finite and nonnegative in row {row!r}")
-        out.append((row[0], score))
-    if not out:
+    rows = list(rows)
+    if not rows:
         raise FileFormatError("scores file has no rows")
-    return out
+    try:
+        scores = np.array([row[1] for row in rows], dtype=float)
+    except (IndexError, ValueError) as exc:
+        raise FileFormatError(f"bad scores row: {exc}") from exc
+    ok = (scores >= 0.0) & (scores < math.inf)
+    if not ok.all():
+        raise FileFormatError(f"score must be finite and nonnegative in row {rows[ok.argmin()]!r}")
+    return [row[0] for row in rows], scores
 
 
 def _cmd_attack_membership(args) -> int:
     if args.scores is not None:
-        scored = _read_scores_csv(args.scores)
+        point_ids, scores = _read_scores_csv(args.scores)
     elif args.model is not None and args.points is not None:
         net = load_network(args.model)
-        data = read_dataset_csv(args.points)
-        values = membership.membership_scores(net, data.points)
-        scored = [(f"point-{i}", float(s)) for i, s in enumerate(values)]
+        scores = membership.membership_scores(net, read_dataset_csv(args.points).points)
+        point_ids = [f"point-{i}" for i in range(len(scores))]
     else:
         raise FileFormatError(
             "attack membership needs --scores, or --model with --points"
         )
 
     try:
-        threshold, comparison = membership._rule_threshold(
-            args.rule, margin=args.margin, threshold=args.threshold,
-            scores=[s for _, s in scored],
+        threshold, verdicts = membership.membership_verdicts(
+            args.rule, scores, margin=args.margin, threshold=args.threshold
         )
     except ValueError as exc:
         raise FileFormatError(str(exc)) from exc
 
-    verdicts = [int(membership._decide(s, threshold, comparison)) for _, s in scored]
     out_path = _out_path(args, args.out, "verdicts.csv")
     _write_csv(
         out_path,
         ["point_id", "score", "verdict", "rule", "threshold"],
-        ([pid, score, verdict, args.rule, threshold]
-         for (pid, score), verdict in zip(scored, verdicts)),
+        ([pid, score, verdict, args.rule, threshold] for pid, score, verdict
+         in zip(point_ids, scores.tolist(), verdicts.astype(int).tolist())),
     )
     print(
         f"rule={args.rule} threshold={threshold:.6g} "
-        f"members={sum(verdicts)}/{len(scored)}"
+        f"members={int(verdicts.sum())}/{len(point_ids)}"
     )
     print(f"wrote {out_path}")
     return 0

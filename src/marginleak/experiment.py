@@ -251,11 +251,17 @@ def _uniform_1d_dataset(n: int, seed: int) -> LabeledDataset:
     return LabeledDataset(xs, ys)
 
 
-def _two_cluster_1d_dataset(n: int, seed: int, gap: float = 1.5, spread: float = 0.4) -> LabeledDataset:
+# The two-clusters scheme: each cluster spans CLUSTER_SPREAD, and the
+# clusters sit CLUSTER_GAP apart, symmetric about 0.
+CLUSTER_GAP = 1.5
+CLUSTER_SPREAD = 0.4
+
+
+def _two_cluster_1d_dataset(n: int, seed: int) -> LabeledDataset:
     rng = np.random.default_rng(seed)
     n_left = n // 2
-    left = rng.uniform(-gap / 2 - spread, -gap / 2, size=n_left)
-    right = rng.uniform(gap / 2, gap / 2 + spread, size=n - n_left)
+    left = rng.uniform(-CLUSTER_GAP / 2 - CLUSTER_SPREAD, -CLUSTER_GAP / 2, size=n_left)
+    right = rng.uniform(CLUSTER_GAP / 2, CLUSTER_GAP / 2 + CLUSTER_SPREAD, size=n - n_left)
     xs = np.concatenate([left, right]).reshape(-1, 1)
     ys = np.concatenate([-np.ones(n_left), np.ones(n - n_left)])
     return LabeledDataset(xs, ys)
@@ -397,7 +403,7 @@ _FLOAT_KEYS = (
 )
 _LIST_KEYS = ("dims", "seeds")
 _STR_KEYS = ("loss_kind", "out_dir", "recon_data_scheme")
-_BOOL_KEYS = ("ensure_active_neuron", "recon_require_convergence")
+_BOOL_KEYS = ("recon_require_convergence",)
 _ALL_KEYS = _INT_KEYS + _FLOAT_KEYS + _LIST_KEYS + _STR_KEYS + _BOOL_KEYS
 
 

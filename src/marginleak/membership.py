@@ -67,37 +67,43 @@ def membership_scores(net: NetworkParams, xs: np.ndarray) -> np.ndarray:
     return np.abs(forward_batch(net, xs))
 
 
-def _decide(score: float, threshold: float, comparison: str) -> bool:
-    return score >= threshold if comparison == "ge" else score > threshold
+# Member iff score >= threshold ("ge"), or strictly above it ("gt").
+_COMPARISON = {"known-margin": "ge", "leaked-points": "ge", "bounded-margin": "gt"}
 
 
-def _rule_threshold(
-    rule: str, *, margin=None, threshold=None, scores=None
-) -> tuple[float, str]:
-    """(threshold, comparison) of a rule; a margin or threshold must be positive
-    and finite.  leaked-points thresholds at half the maximum of ``scores``.
+def membership_verdicts(
+    rule: str, scores, *, margin=None, threshold=None
+) -> tuple[float, np.ndarray]:
+    """(threshold, verdicts) of a rule over ``scores``; verdicts is a bool
+    array, True for a member.  known-margin thresholds at ``margin / 2`` and
+    bounded-margin strictly above ``threshold`` (each positive and finite);
+    leaked-points thresholds at half the maximum score.
     """
+    scores = np.asarray(scores, dtype=float)
     if rule == "known-margin":
         if margin is None or not 0.0 < margin < math.inf:
             raise ValueError("known-margin rule needs a positive, finite margin")
-        return margin / 2.0, "ge"
-    if rule == "bounded-margin":
+        thr = margin / 2.0
+    elif rule == "bounded-margin":
         if threshold is None or not 0.0 < threshold < math.inf:
             raise ValueError("bounded-margin rule needs a positive, finite threshold")
-        return threshold, "gt"
-    if rule == "leaked-points":
+        thr = threshold
+    elif rule == "leaked-points":
         alpha = float(np.max(scores))
         if alpha == 0.0:
             raise DegenerateNetworkError(
                 "all leaked-point scores are zero; the membership promise cannot hold"
             )
-        return alpha / 2.0, "ge"
-    raise ValueError(f"rule must be one of {RULES}")
+        thr = alpha / 2.0
+    else:
+        raise ValueError(f"rule must be one of {RULES}")
+    return thr, scores > thr if _COMPARISON[rule] == "gt" else scores >= thr
 
 
-def _verdict(score: float, rule: str, threshold: float, comparison: str) -> MembershipVerdict:
-    return MembershipVerdict(score, _decide(score, threshold, comparison), rule,
-                             threshold, comparison)
+def _verdicts(rule: str, scores: np.ndarray, **bound) -> list[MembershipVerdict]:
+    thr, members = membership_verdicts(rule, scores, **bound)
+    return [MembershipVerdict(s, is_member, rule, thr, _COMPARISON[rule])
+            for s, is_member in zip(scores.tolist(), members.tolist())]
 
 
 def attack_known_margin(net: NetworkParams, m: float, x) -> MembershipVerdict:
@@ -105,8 +111,7 @@ def attack_known_margin(net: NetworkParams, m: float, x) -> MembershipVerdict:
 
     The tie at exactly m/2 counts as a member.
     """
-    cut = _rule_threshold("known-margin", margin=m)
-    return _verdict(membership_score(net, x), "known-margin", *cut)
+    return _verdicts("known-margin", np.array([membership_score(net, x)]), margin=m)[0]
 
 
 def attack_leaked_points(net: NetworkParams, zs: np.ndarray) -> list[MembershipVerdict]:
@@ -118,39 +123,23 @@ def attack_leaked_points(net: NetworkParams, zs: np.ndarray) -> list[MembershipV
     zs = np.asarray(zs, dtype=float)
     if zs.ndim != 2 or zs.shape[0] < 1:
         raise ValueError("zs must be a nonempty (k, d) array")
-    scores = membership_scores(net, zs)
-    cut = _rule_threshold("leaked-points", scores=scores)
-    return [_verdict(float(s), "leaked-points", *cut) for s in scores]
+    return _verdicts("leaked-points", membership_scores(net, zs))
 
 
 def attack_bounded_margin(net: NetworkParams, c: float, x) -> MembershipVerdict:
     """Member iff |Phi(x)| > C, strictly, for a known lower bound C < m."""
-    cut = _rule_threshold("bounded-margin", threshold=c)
-    return _verdict(membership_score(net, x), "bounded-margin", *cut)
-
-
-def _averaged_ranks(values: np.ndarray) -> np.ndarray:
-    """One-based ranks with ties replaced by the group mean."""
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.shape[0], dtype=float)
-    i = 0
-    while i < values.shape[0]:
-        j = i
-        while j + 1 < values.shape[0] and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    return _verdicts("bounded-margin", np.array([membership_score(net, x)]), threshold=c)[0]
 
 
 def score_auc(member_scores: np.ndarray, fresh_scores: np.ndarray) -> float:
-    """AUC of ranking members above fresh points, ties averaged."""
+    """AUC of ranking members above fresh points, ties counted as half: the
+    Mann-Whitney count over n_m * n_f.  A member's left and right insertion
+    indices into the sorted fresh scores sum to twice its count."""
     member_scores = np.asarray(member_scores, dtype=float)
-    fresh_scores = np.asarray(fresh_scores, dtype=float)
-    n_m, n_f = member_scores.shape[0], fresh_scores.shape[0]
-    ranks = _averaged_ranks(np.concatenate([member_scores, fresh_scores]))
-    rank_sum = float(np.sum(ranks[:n_m]))
-    return (rank_sum - n_m * (n_m + 1) / 2.0) / (n_m * n_f)
+    fresh_scores = np.sort(np.asarray(fresh_scores, dtype=float))
+    twice_count = int((np.searchsorted(fresh_scores, member_scores, "left")
+                       + np.searchsorted(fresh_scores, member_scores, "right")).sum())
+    return twice_count / 2.0 / (member_scores.shape[0] * fresh_scores.shape[0])
 
 
 def evaluate_attack(
@@ -175,38 +164,25 @@ def evaluate_attack(
 
     m_scores = membership_scores(net, members)
     f_scores = membership_scores(net, fresh)
-    thr, cmp = _rule_threshold(
-        rule, margin=margin, threshold=threshold,
-        scores=np.concatenate([m_scores, f_scores]),
-    )
-
-    rows = []
-    tp = fp = tn = fn = 0
-    for prefix, scores, truth in (("member", m_scores, True), ("fresh", f_scores, False)):
-        for i, s in enumerate(scores):
-            verdict = _decide(float(s), thr, cmp)
-            rows.append(EvaluationRow(f"{prefix}-{i}", float(s), truth, verdict))
-            if truth and verdict:
-                tp += 1
-            elif truth:
-                fn += 1
-            elif verdict:
-                fp += 1
-            else:
-                tn += 1
-
-    total = tp + fp + tn + fn
+    scores = np.concatenate([m_scores, f_scores])
+    _, verdicts = membership_verdicts(rule, scores, margin=margin, threshold=threshold)
+    n_m, n_f = m_scores.shape[0], f_scores.shape[0]
+    tp = int(np.count_nonzero(verdicts[:n_m]))
+    fp = int(np.count_nonzero(verdicts[n_m:]))
+    tn, fn = n_f - fp, n_m - tp
+    point_ids = [f"member-{i}" for i in range(n_m)] + [f"fresh-{i}" for i in range(n_f)]
     return AttackEvaluation(
         true_positives=tp,
         false_positives=fp,
         true_negatives=tn,
         false_negatives=fn,
-        accuracy=(tp + tn) / total,
-        true_positive_rate=tp / (tp + fn),
-        false_positive_rate=fp / (fp + tn),
+        accuracy=(tp + tn) / (n_m + n_f),
+        true_positive_rate=tp / n_m,
+        false_positive_rate=fp / n_f,
         auc=score_auc(m_scores, f_scores),
         rule=rule,
-        rows=tuple(rows),
+        rows=tuple(map(EvaluationRow, point_ids, scores.tolist(),
+                       [True] * n_m + [False] * n_f, verdicts.tolist())),
     )
 
 

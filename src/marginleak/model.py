@@ -356,13 +356,14 @@ def _read_csv(path):
     """(header, rows) of a CSV file, skipping blank and ``#`` lines.
 
     ``rows`` iterates over the remaining rows as lists of strings; ``header``
-    is None when no line is left.
+    is None when no line is left.  The file is read one line at a time and
+    closed once the rows are exhausted (or ``rows`` is discarded).
     """
-    lines = [
-        ln for ln in Path(path).read_text().splitlines()
-        if ln.strip() and not ln.startswith("#")
-    ]
-    reader = csv.reader(lines)
+    def lines():
+        with Path(path).open() as fh:
+            yield from (ln for ln in fh if ln.strip() and not ln.startswith("#"))
+
+    reader = csv.reader(lines())
     return next(reader, None), reader
 
 

@@ -8,18 +8,18 @@ from __future__ import annotations
 
 import numpy as np
 
+# Outer (and per-pass inner) iteration cap of the active-set loop.
+MAX_ITER = 10_000
+# Relative to max(1, ||rhs||_inf): bounds the positive part of the dual
+# vector at the returned solution, and zeroes entries of x at or below it.
+TOL = 1e-12
 
-def nnls_normal(
-    gram: np.ndarray,
-    rhs: np.ndarray,
-    *,
-    max_iter: int = 10_000,
-    tol: float = 1e-12,
-) -> np.ndarray:
+
+def nnls_normal(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve min_{x >= 0} ||A x - b|| from gram = A^T A, rhs = A^T b.
 
-    ``tol`` is relative to max(1, ||rhs||_inf) and bounds the positive part of
-    the dual vector rhs - gram @ x at the returned solution.  Rank-deficient
+    ``TOL`` times max(1, ||rhs||_inf) bounds the positive part of the dual
+    vector rhs - gram @ x at the returned solution.  Rank-deficient
     subproblems are handled with a least-squares solve.
     """
     gram = np.asarray(gram, dtype=float)
@@ -44,17 +44,17 @@ def nnls_normal(
             pass
         return np.linalg.lstsq(sub, target, rcond=None)[0]
 
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         free = ~passive
         if not free.any():
             break
         j = int(np.argmax(np.where(free, dual, -np.inf)))
-        if dual[j] <= tol * scale:
+        if dual[j] <= TOL * scale:
             break
         passive[j] = True
 
         # Inner loop: retreat until the restricted solution is feasible.
-        for _ in range(max_iter):
+        for _ in range(MAX_ITER):
             s = np.zeros(n)
             s[passive] = restricted_solve()
             if s[passive].min() > 0.0:
@@ -63,7 +63,7 @@ def nnls_normal(
             shrink = passive & (s <= 0.0) & (x > s)
             alpha = float(np.min(x[shrink] / (x[shrink] - s[shrink])))
             x = x + alpha * (s - x)
-            drop = passive & (x <= tol * scale)
+            drop = passive & (x <= TOL * scale)
             x[drop] = 0.0
             passive[drop] = False
             if not passive.any():

@@ -38,9 +38,7 @@ class TrainConfig:
     ``width`` is the hidden-layer size.  Training stops when the loss is at
     most ``loss_target`` AND the stationarity residual is at most
     ``kkt_residual_target`` (both checked every ``checkpoint_every`` steps),
-    or after ``max_steps`` updates.  ``ensure_active_neuron`` rebiases neuron
-    0 at init so it starts active on every training point, emulating an
-    affine pass-through unit within the ReLU architecture.
+    or after ``max_steps`` updates.
     """
 
     width: int
@@ -53,7 +51,6 @@ class TrainConfig:
     kkt_residual_target: float = 5e-3
     rng_seed: int = 0
     checkpoint_every: int = 100
-    ensure_active_neuron: bool = False
 
     def __post_init__(self):
         if self.loss_kind not in LOSS_KINDS:
@@ -184,13 +181,6 @@ def init_small(d: int, k: int, scale: float, seed: int) -> NetworkParams:
     return NetworkParams(w, b, v)
 
 
-def _rebias_first_neuron(w: np.ndarray, b: np.ndarray, xs: np.ndarray, scale: float) -> None:
-    # Make neuron 0 active on every training point without leaving the
-    # small-init scale regime.
-    reach = float(np.max(np.abs(xs @ w[0])))
-    b[0] = reach + scale
-
-
 def train(data: LabeledDataset, cfg: TrainConfig) -> tuple[NetworkParams, TrainTrace]:
     """Run full-batch gradient descent; returns final parameters and trace.
 
@@ -210,11 +200,9 @@ def train(data: LabeledDataset, cfg: TrainConfig) -> tuple[NetworkParams, TrainT
     """
     init = init_small(data.dim, cfg.width, cfg.init_scale, cfg.rng_seed)
     w0 = init.weights
-    b0 = init.biases.copy()
+    b0 = init.biases
     v = init.out_weights.copy()
     xs, ys = data.points, data.labels
-    if cfg.ensure_active_neuron:
-        _rebias_first_neuron(w0, b0, xs, cfg.init_scale)
 
     # With x~ = [x, 1], every update of (W, b) is a combination of the rows
     # of x~: W = W0 + C.T @ xs and b = b0 + C.sum(axis=0) for C of shape

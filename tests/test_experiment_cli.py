@@ -1,8 +1,11 @@
+import csv
 import json
 from pathlib import Path
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import marginleak as ml
 from marginleak.cli import main
@@ -13,6 +16,9 @@ from marginleak.experiment import (
     write_margin_results_csv,
 )
 from kkt_constructions import opposite_pair_network
+from test_model import SPECIAL_FLOATS, same_bits
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def tiny_margin_config(seeds=(0, 1)):
@@ -122,7 +128,6 @@ class TestFlatConfig:
         width = 8
         margin_slack = 0.2
         loss_kind = logistic
-        ensure_active_neuron = true
         """
         values = parse_flat_config(text)
         assert values["dims"] == (5, 20)
@@ -130,11 +135,16 @@ class TestFlatConfig:
         assert values["width"] == 8
         assert values["margin_slack"] == 0.2
         assert values["loss_kind"] == "logistic"
-        assert values["ensure_active_neuron"] is True
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ml.FileFormatError):
             parse_flat_config("wibble = 3")
+
+    def test_every_shipped_config_loads(self):
+        paths = sorted(p for p in CONFIG_DIR.rglob("*") if p.is_file())
+        assert paths
+        for path in paths:
+            assert isinstance(config_from_file(path), ml.ExperimentConfig), path
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ml.FileFormatError):
@@ -424,3 +434,65 @@ def test_cli_membership_verdicts_match_library(tmp_path, rule):
     assert from_cli == from_eval == from_attack
     ties = [bool(v) for v, x in zip(from_cli, points[:, 0]) if x == 0.75]
     assert ties == [rule != "bounded-margin"] * 2
+
+
+# Scores files as `attack membership --scores` reads them: finite nonnegative
+# scores come back bit for bit in verdicts.csv; anything else exits 2.
+RULE_FLAGS = {"known-margin": ["--margin", "1.0"], "bounded-margin": ["--threshold", "0.5"],
+              "leaked-points": []}
+VALID_SCORES = st.one_of(
+    st.sampled_from(SPECIAL_FLOATS),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+)
+BAD_SCORES = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "-1.0", "-5e-324"]),
+    st.floats(max_value=-5e-324).map(repr),
+)
+
+
+def _run_scores_file(tmp_path, cells, rule):
+    path = tmp_path / "scores.csv"
+    path.write_text("point_id,score\n" + "".join(f"p{i},{c}\n" for i, c in enumerate(cells)))
+    out = tmp_path / "verdicts.csv"
+    out.unlink(missing_ok=True)
+    code = main(["attack", "membership", "--rule", rule, *RULE_FLAGS[rule],
+                 "--scores", str(path), "--out", str(out)])
+    return code, out
+
+
+@hypothesis.settings(
+    deadline=None, max_examples=60,
+    suppress_health_check=[hypothesis.HealthCheck.function_scoped_fixture],
+)
+@hypothesis.given(scores=st.lists(VALID_SCORES, min_size=1, max_size=8),
+                  rule=st.sampled_from(sorted(RULE_FLAGS)))
+@hypothesis.example(scores=SPECIAL_FLOATS, rule="known-margin")
+@hypothesis.example(scores=SPECIAL_FLOATS, rule="leaked-points")
+def test_scores_file_round_trips_bit_exact(tmp_path, scores, rule):
+    code, out = _run_scores_file(tmp_path, map(repr, scores), rule)
+    if rule == "leaked-points" and max(scores) == 0.0:
+        assert code == 1  # every score zero: no margin estimate
+        return
+    assert code == 0
+    with out.open(newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["point_id", "score", "verdict", "rule", "threshold"]
+    assert [row[0] for row in rows] == [f"p{i}" for i in range(len(scores))]
+    assert same_bits(np.array([float(row[1]) for row in rows]), np.array(scores))
+    threshold = float(rows[0][4])
+    member = [s > threshold if rule == "bounded-margin" else s >= threshold for s in scores]
+    assert [row[2] for row in rows] == [str(int(m)) for m in member]
+
+
+@hypothesis.settings(
+    deadline=None, max_examples=40,
+    suppress_health_check=[hypothesis.HealthCheck.function_scoped_fixture],
+)
+@hypothesis.given(scores=st.lists(VALID_SCORES, max_size=5), bad=BAD_SCORES,
+                  at=st.integers(0, 5), rule=st.sampled_from(sorted(RULE_FLAGS)))
+def test_nonfinite_or_negative_score_exits_2_and_writes_nothing(tmp_path, scores, bad, at, rule):
+    cells = [repr(s) for s in scores]
+    cells.insert(at, bad)
+    code, out = _run_scores_file(tmp_path, cells, rule)
+    assert code == 2
+    assert not out.exists()

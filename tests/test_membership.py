@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import marginleak as ml
+from marginleak.membership import score_auc
 from kkt_constructions import shared_pattern_network
 
 
@@ -159,20 +160,46 @@ class TestEvaluateAttack:
         assert total == 11
 
 
+def pair_count_auc(m_scores, f_scores):
+    """Brute-force AUC: a point per (member, fresh) pair ranked right, a half per tie."""
+    above = np.count_nonzero(m_scores[:, None] > f_scores[None, :])
+    ties = np.count_nonzero(m_scores[:, None] == f_scores[None, :])
+    return (above + 0.5 * ties) / (m_scores.size * f_scores.size)
+
+
 class TestAuc:
     def test_matches_brute_force_pair_counting(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
             m_scores = rng.integers(0, 5, size=6).astype(float)
             f_scores = rng.integers(0, 5, size=9).astype(float)
-            want = 0.0
-            for a in m_scores:
-                for b in f_scores:
-                    want += 1.0 if a > b else (0.5 if a == b else 0.0)
-            want /= m_scores.size * f_scores.size
-            from marginleak.membership import score_auc
+            assert score_auc(m_scores, f_scores) == pair_count_auc(m_scores, f_scores)
 
-            assert score_auc(m_scores, f_scores) == pytest.approx(want)
+    def test_continuous_scores_match_brute_force_exactly(self):
+        # Overlapping continuous scores, 1,000 points on each side.
+        rng = np.random.default_rng(7)
+        m_scores = rng.exponential(size=1000) + 0.5
+        f_scores = rng.exponential(size=1000)
+        auc = score_auc(m_scores, f_scores)
+        assert 0.5 < auc < 1.0
+        assert auc == pair_count_auc(m_scores, f_scores)
+
+
+class TestDecide:
+    @pytest.mark.parametrize("rule, bound, want", [
+        ("known-margin", {"margin": 1.5}, [True, False, True, True]),
+        ("leaked-points", {}, [True, False, True, True]),
+        ("bounded-margin", {"threshold": 0.75}, [True, False, True, False]),
+    ])
+    def test_threshold_and_bool_verdicts(self, rule, bound, want):
+        scores = np.array([1.5, 0.74, 0.76, 0.75])
+        threshold, verdicts = ml.membership_verdicts(rule, scores, **bound)
+        assert threshold == 0.75
+        assert verdicts.dtype == bool and verdicts.tolist() == want
+
+    def test_unknown_rule_rejected(self):
+        with pytest.raises(ValueError):
+            ml.membership_verdicts("no-such-rule", np.ones(2))
 
 
 def test_evaluation_csv(tmp_path):

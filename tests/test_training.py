@@ -211,15 +211,6 @@ class TestTrain:
         steps = [r.step for r in trace.records]
         assert steps == sorted(set(steps))
 
-    def test_ensure_active_neuron_rescues_dead_side(self):
-        # Seed 0 starts with every neuron inactive on x = -1.
-        data = dataset([[-1.0], [1.0]], [-1, 1])
-        cfg = ml.TrainConfig(width=8, max_steps=3000, loss_target=1e-6,
-                             kkt_residual_target=0.5, rng_seed=0, init_scale=1e-4,
-                             learning_rate=1e-2, ensure_active_neuron=True)
-        net, trace = ml.train(data, cfg)
-        assert trace.reached_loss_below_1_over_n
-
     def test_trace_records_residual_method(self, symmetric_pair_run):
         data, _, net, trace = symmetric_pair_run
         report = ml.estimate_lambdas(net, data)
@@ -298,14 +289,6 @@ class TestRowSpaceMatchesWeightSpace:
     def test_shapes_and_losses(self, case, kind):
         data, kwargs = ROW_SPACE_CASES[case]
         self.check(data, ml.TrainConfig(loss_kind=kind, **kwargs))
-
-    def test_ensure_active_neuron(self):
-        data = dataset([[-1.0], [1.0]], [-1, 1])
-        cfg = ml.TrainConfig(width=8, max_steps=3000, loss_target=1e-6,
-                             kkt_residual_target=0.5, rng_seed=0, init_scale=1e-4,
-                             learning_rate=1e-2, ensure_active_neuron=True)
-        trace, _ = self.check(data, cfg)
-        assert trace.stop_reason == "targets-met"
 
     def test_refused_overflow_steps(self):
         # With a step size this large, two steps would overflow the

@@ -6,8 +6,8 @@ descent in the row space of the data (W = W0 + C xs); the two are equal in
 exact arithmetic, so tests compare them step count for step count and float
 for float within a rounding tolerance.  The forward pass and the gradient are
 written out here rather than imported, so the reference shares no arithmetic
-with the code under test; the loss, init, rebias rule and stationarity
-estimate are the package's own.
+with the code under test; the loss, init and stationarity estimate are the
+package's own.
 """
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from marginleak.training import (
     TrainConfig,
     TrainTrace,
     _loss_derivative,
-    _rebias_first_neuron,
     init_small,
     loss_values,
 )
@@ -52,8 +51,6 @@ def reference_train(
     w = init.weights.copy()
     b = init.biases.copy()
     v = init.out_weights.copy()
-    if cfg.ensure_active_neuron:
-        _rebias_first_neuron(w, b, data.points, cfg.init_scale)
 
     xs, ys = data.points, data.labels
     n = data.size
