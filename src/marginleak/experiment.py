@@ -275,11 +275,11 @@ def _recon_dataset(cfg: ExperimentConfig, seed: int) -> LabeledDataset:
 
 def match_candidates(points, true_points) -> int:
     """How many candidates sit within RECONSTRUCTION_MATCH_TOL of some true point."""
-    true_arr = np.asarray(true_points, dtype=float)
-    return sum(
-        1 for p in points
-        if true_arr.size and float(np.min(np.abs(true_arr - p))) <= RECONSTRUCTION_MATCH_TOL
-    )
+    points, true_arr = np.asarray(points, dtype=float), np.asarray(true_points, dtype=float)
+    if points.size == 0 or true_arr.size == 0:
+        return 0
+    gaps = np.abs(points[:, None] - true_arr[None, :]).min(axis=1)
+    return int(np.count_nonzero(gaps <= RECONSTRUCTION_MATCH_TOL))
 
 
 def run_reconstruction_pipeline(

@@ -34,8 +34,6 @@ ARGMIN_REL_SLACK = 1e-9
 # interior subgradient values there.
 KINK_REL_TOL = 1e-4
 _REFINE_MAX_PASSES = 20
-# Most pseudo-inverse elements one refinement chunk gathers (at least one neuron's).
-_KINK_CHUNK_ELEMENTS = 1 << 15
 
 # Above this support size times parameter count the residual is taken from the
 # quadratic form ||theta||^2 - 2 lambda.rhs + lambda.gram.lambda, without kink
@@ -82,8 +80,9 @@ class KktReport:
     diagnostics: DiagnosticBounds | None = None
     # "direct" forms theta - sum lambda_i y_i g_i;
     # "direct+kink-refinement" also refined the subgradients at kinks and
-    # reports the smaller residual; "quadratic-form" expands the square
-    # through the Gram matrix (large networks, no refinement);
+    # reports the smallest residual over its passes; "quadratic-form"
+    # expands the square through the Gram matrix (large networks, no
+    # refinement);
     # "empty-support": no point near the margin, residual reported as 1.
     residual_method: str = "direct"
 
@@ -135,10 +134,10 @@ def _direct_residual(net: NetworkParams, s_xt: np.ndarray, s_sigma: np.ndarray,
 
 
 def _refine_kink_subgradients(
-    net: NetworkParams,
-    s_xt: np.ndarray,
+    v: np.ndarray,
+    s_pre: np.ndarray,
     s_y: np.ndarray,
-    sigma_work: np.ndarray,
+    inner_x: np.ndarray,
     kink: np.ndarray,
     solve,
     lam: np.ndarray,
@@ -146,53 +145,55 @@ def _refine_kink_subgradients(
 ) -> tuple[np.ndarray, float]:
     """Alternate between the dual NNLS and the kink subgradients.
 
-    ``solve(sigma_work)`` returns the dual solution and its residual;
-    (lam, residual) is its value at the strict subgradients.  Each
-    alternation minimizes the same objective over one block, so the residual
-    is non-increasing; entries of sigma_work flagged as kinks move freely
-    inside [0, 1].  Neuron j's kink entries solve
+    ``solve(sigma)`` returns the dual solution and its residual; (lam,
+    residual) is its value at the strict subgradients.  Entries flagged as
+    kinks move freely inside [0, 1]: neuron j's kink entries solve
     min ||[w_j, b_j] / v_j - sum_t c_t s_tj x~_t|| with c = lambda * y, whose
-    non-kink part is fixed.  That basis depends only on the neuron's kink rows:
-    the bases of all patterns with r kink rows are pseudo-inverted as one
-    (P_r, d+1, r) stack with lstsq's cutoff eps * max(d+1, r), which gives
-    lstsq's minimum-norm solution, and applied to the neurons in bounded
-    chunks.  Each neuron reads only its own non-kink entries; no pass writes them.
+    non-kink part is fixed.  Its normal equations live in the support space:
+    the Gram is (c c^T * inner_x)[rows, rows] for the neuron's kink rows and
+    c_t x~_t . [w_j, b_j] / v_j = c_t pre_tj / v_j.  The Grams of all
+    patterns with r kink rows are pseudo-inverted as one hermitian
+    (P_r, r, r) stack with cutoff eps * r, which gives the minimum-norm
+    least-squares solution.  Clipping that solution to [0, 1] is not the
+    box-constrained minimizer once a neuron has two kink rows, so a pass can
+    raise the residual; the best (lam, residual) over all solves is returned.
     """
-    v = net.out_weights
     neurons = np.nonzero(kink.any(axis=0) & (v != 0.0))[0]
     patterns, group = np.unique(kink[:, neurons], axis=1, return_inverse=True)
     group = group.ravel()
-    target = np.column_stack([net.weights, net.biases])[neurons] / v[neurons, None]
+    sigma_work = (s_pre > 0.0).astype(float)
     fixed_sigma = np.where(kink, 0.0, sigma_work)[:, neurons]
-    # Per kink-row count r: the patterns' kink rows (P_r, r), the cutoff, and
-    # chunks of (member neurons' pattern places in the stack, places in `neurons`).
+    target_x = s_pre[:, neurons] / v[neurons]  # x~_t . [w_j, b_j] / v_j
+    # Per kink-row count r: the patterns' kink rows (P_r, r), and the member
+    # neurons' pattern places in the stack and places in `neurons`.
     counts = patterns.sum(axis=0)
     stacks = []
     for r in np.flatnonzero(np.bincount(counts)):
         in_r, members = np.nonzero(counts == r)[0], np.nonzero(counts[group] == r)[0]
-        parts = -(-members.size // max(1, _KINK_CHUNK_ELEMENTS // (r * s_xt.shape[1])))
-        which = np.searchsorted(in_r, group[members])
         stacks.append((np.nonzero(patterns[:, in_r].T)[1].reshape(-1, r),
-                       np.finfo(float).eps * max(r, s_xt.shape[1]),  # lstsq's rcond=None
-                       list(zip(np.array_split(which, parts), np.array_split(members, parts)))))
+                       np.searchsorted(in_r, group[members]), members))
     # The caller's solve is the first pass.  Stop once a solve gains less
     # than 0.1 % on the one before; the first is compared with the zero-dual
     # residual 1.
+    best = lam, residual
     previous = 1.0
     for _ in range(_REFINE_MAX_PASSES - 1):
         if residual >= previous * (1.0 - 1e-3):
             break
         c = lam * s_y
-        free = target - (fixed_sigma * c[:, None]).T @ s_xt
-        basis_rows = c[:, None] * s_xt
-        for rows, cutoff, chunks in stacks:
-            pinv = np.linalg.pinv(basis_rows[rows].transpose(0, 2, 1), rcond=cutoff)
-            for which, members in chunks:
-                sol = (pinv[which] @ free[members, :, None])[..., 0]
-                sigma_work[rows[which], neurons[members, None]] = np.clip(sol, 0.0, 1.0)
+        gram = np.outer(c, c) * inner_x
+        rhs = c[:, None] * (target_x - inner_x @ (fixed_sigma * c[:, None]))
+        for rows, which, members in stacks:
+            pinv = np.linalg.pinv(gram[rows[:, :, None], rows[:, None, :]],
+                                  rcond=np.finfo(float).eps * rows.shape[1], hermitian=True)
+            kink_rows = rows[which]
+            sol = (pinv[which] @ rhs[kink_rows, members[:, None], None])[..., 0]
+            sigma_work[kink_rows, neurons[members, None]] = np.clip(sol, 0.0, 1.0)
         previous = residual
         lam, residual = solve(sigma_work)
-    return lam, residual
+        if residual <= best[1]:
+            best = lam, residual
+    return best
 
 
 def estimate_lambdas(
@@ -255,11 +256,9 @@ def estimate_lambdas(
                 lam_s = nnls_normal(*_dual_normal(s_y, s_sig, s_pre, s_act, v, inner_x))
                 return lam_s, _direct_residual(net, s_xt, s_sig, s_act, lam_s * s_y, theta_norm)
 
-            lam_ref, res_ref = _refine_kink_subgradients(
-                net, s_xt, s_y, s_sigma.copy(), kink, solve, lam, residual
+            lam, residual = _refine_kink_subgradients(
+                v, s_pre, s_y, inner_x, kink, solve, lam, residual
             )
-            if res_ref <= residual:
-                lam, residual = lam_ref, res_ref
 
     lambdas[idx] = lam
     return KktReport(m, tuple(int(i) for i in idx), lambdas, residual, sigma_int,

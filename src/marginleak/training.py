@@ -308,8 +308,8 @@ def train_non_degenerate(
     for attempt in range(max_retries + 1):
         run_cfg = replace(cfg, rng_seed=cfg.rng_seed + 1_000_003 * attempt)
         net, trace = train(data, run_cfg)
-        outputs = np.abs(forward_batch(net, data.points))
-        usable = float(np.max(outputs)) > 0.0 and trace.reached_loss_below_1_over_n
+        usable = (trace.final().residual_method != "degenerate"
+                  and trace.reached_loss_below_1_over_n)
         if usable and require_targets_met:
             usable = trace.stop_reason == "targets-met"
         if usable:

@@ -181,7 +181,11 @@ def _reference_gradient_matrix(net: NetworkParams, s_x, s_y, s_sigma, s_act) -> 
 
 
 def _reference_refine(net: NetworkParams, s_x, s_y, sigma_work, kink, s_act, theta):
-    """Per-neuron kink refinement on the materialized gradient matrix."""
+    """Per-neuron kink refinement on the materialized gradient matrix.
+
+    Returns the best (lambdas, residual) over its passes: clipping a neuron's
+    least-squares subgradients to [0, 1] can make a pass worse.
+    """
     from marginleak.kkt import _REFINE_MAX_PASSES
     from marginleak.nnls import nnls_normal
 
@@ -189,10 +193,13 @@ def _reference_refine(net: NetworkParams, s_x, s_y, sigma_work, kink, s_act, the
     v = net.out_weights
     lam = np.zeros(s_y.size)
     residual = 1.0
+    best = lam, np.inf
     for _ in range(_REFINE_MAX_PASSES):
         cols = _reference_gradient_matrix(net, s_x, s_y, sigma_work, s_act)
         lam = nnls_normal(cols.T @ cols, cols.T @ theta)
         new_residual = float(np.linalg.norm(theta - cols @ lam)) / theta_norm
+        if new_residual <= best[1]:
+            best = lam, new_residual
         converged = new_residual >= residual * (1.0 - 1e-3)
         residual = new_residual
         if converged:
@@ -212,7 +219,7 @@ def _reference_refine(net: NetworkParams, s_x, s_y, sigma_work, kink, s_act, the
             )
             sol, *_ = np.linalg.lstsq(basis, target - fixed, rcond=None)
             sigma_work[rows, j] = np.clip(sol, 0.0, 1.0)
-    return lam, residual
+    return best
 
 
 def reference_estimate_lambdas(net: NetworkParams, data: LabeledDataset, support_slack: float = 0.1):

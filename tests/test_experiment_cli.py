@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 import marginleak as ml
 from marginleak.cli import main
 from marginleak.experiment import (
+    RECONSTRUCTION_MATCH_TOL,
     config_from_file,
+    match_candidates,
     parse_flat_config,
     write_margin_plot_csv,
     write_margin_results_csv,
@@ -105,6 +107,15 @@ class TestReconstructionPipeline:
         cfg = recon_config(tuple(range(5)))
         reports = ml.run_reconstruction_sweep(cfg)
         assert sum(r.matched_fraction >= 0.25 for r in reports) >= 4
+
+    @pytest.mark.parametrize("points, true_points", [((), (0.5,)), ((0.5,), ()), ((), ())])
+    def test_match_candidates_empty_inputs(self, points, true_points):
+        assert match_candidates(points, true_points) == 0
+
+    def test_match_candidates_counts_within_the_tolerance(self):
+        tol = RECONSTRUCTION_MATCH_TOL
+        points = (tol, -tol, np.nextafter(tol, 1.0), 2.0 + 0.5 * tol, 5.0)
+        assert match_candidates(points, (0.0, 2.0)) == 3
 
     def test_single_point_uses_closed_form(self):
         cfg = recon_config((0,), n_train=1, width=1, max_steps=2500)

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -120,13 +121,13 @@ class TestConstructionSuite:
             assert np.max(np.abs(report.lambdas - lam)) < 1e-6
 
 
-def _trained(data, width, checkpoint_every=500):
+def _trained(data, width, checkpoint_every=500, **overrides):
     cfg = ml.TrainConfig(
         width=width, loss_kind="exponential", init_scale=1e-2, learning_rate=1e-2,
         lr_growth=1.02, max_steps=2500, loss_target=1e-8, kkt_residual_target=5e-3,
         rng_seed=0, checkpoint_every=checkpoint_every,
     )
-    return ml.train(data, cfg)[0]
+    return ml.train(data, replace(cfg, **overrides))[0]
 
 
 def _kink_rows(net, data):
@@ -209,14 +210,34 @@ class TestBatchedKinkRefinement:
         assert report.residual_method == "direct+kink-refinement"
         assert np.unique(_support_kink_counts(net, data, report)).size >= 3
 
-    @pytest.mark.parametrize("chunk", [1, 300])
-    def test_pseudo_inverses_applied_in_chunks(self, monkeypatch, chunk):
-        # 1: every chunk is one neuron, whose block exceeds the budget;
-        # 300: the larger kink-row groups split into several chunks.
-        monkeypatch.setattr(ml.kkt, "_KINK_CHUNK_ELEMENTS", chunk)
-        data = _sample_labeled(20, 20, 1.0, seed=1)
-        report = self.assert_matches_reference(_trained(data, 64), data)
+    def test_best_pass_reported_when_the_last_is_worse(self, monkeypatch):
+        # The margin_desk d=100 cell for seed 0 at step 600.  Clipping the
+        # kink solves to [0, 1] makes the third solve slightly worse than the
+        # second.
+        data = _sample_labeled(100, 20, 1.0, seed=0)
+        net = _trained(data, 1000, checkpoint_every=600, rng_seed=2, max_steps=600)
+        solves = []
+        direct = ml.kkt._direct_residual
+
+        def recorded(*args):
+            solves.append(direct(*args))
+            return solves[-1]
+
+        monkeypatch.setattr(ml.kkt, "_direct_residual", recorded)
+        report = self.assert_matches_reference(net, data)
         assert report.residual_method == "direct+kink-refinement"
+        assert solves[-1] > min(solves)
+        assert report.stationarity_residual == min(solves)
+
+    def test_trained_d1000_cli_shape(self):
+        # The cli-io workload's shape and schedule: d=1000, k=256, 100 steps
+        # from init 1e-4, with a three-point support.
+        data = _sample_labeled(1000, 20, 1.0, seed=2)
+        net = _trained(data, 256, checkpoint_every=100, init_scale=1e-4, max_steps=100,
+                       rng_seed=2)
+        report = self.assert_matches_reference(net, data)
+        assert report.residual_method == "direct+kink-refinement"
+        assert 1 <= len(report.support_indices) <= 5
 
     def test_duplicate_support_points_on_a_shared_kink(self):
         # Both copies of point 3 keep a positive dual, so the two-row kink
