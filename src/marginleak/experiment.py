@@ -139,20 +139,18 @@ def margin_fractions(
     net: NetworkParams, train_points: np.ndarray, test_points: np.ndarray, slack: float
 ) -> tuple[float, float, float]:
     """(margin, frac train within the slack band, frac test at or above it)."""
-    train_abs = np.abs(forward_batch(net, train_points))
-    m = float(np.min(train_abs))
+    train_abs, m = kkt._abs_and_margin(forward_batch(net, train_points))
     band = (train_abs >= (1.0 - slack) * m) & (train_abs <= (1.0 + slack) * m)
-    test_abs = np.abs(forward_batch(net, test_points))
-    above = test_abs >= (1.0 - slack) * m
+    above = np.abs(forward_batch(net, test_points)) >= (1.0 - slack) * m
     return m, float(np.mean(band)), float(np.mean(above))
 
 
 def run_margin_cell(cfg: ExperimentConfig, dim: int, seed: int) -> ExperimentRecord:
     """Train and score one cell.
 
-    A cell whose training diverges or never fits the data (even after the
-    deterministic re-seeding retries) is recorded with the ``diverged`` flag
-    and excluded from aggregation.
+    A cell whose training diverges or never fits the data (see
+    :func:`training.train_non_degenerate`) is recorded with the ``diverged``
+    flag and excluded from aggregation.
     """
     train_seed, test_seed, init_seed = _cell_seeds(seed)
     data = _sample_labeled(dim, cfg.n_train, cfg.mixture_mean_coord, train_seed)
@@ -163,7 +161,7 @@ def run_margin_cell(cfg: ExperimentConfig, dim: int, seed: int) -> ExperimentRec
     t0 = time.perf_counter()
     try:
         net, trace, _ = training.train_non_degenerate(
-            data, replace(cfg.train, rng_seed=init_seed), max_retries=5
+            data, replace(cfg.train, rng_seed=init_seed)
         )
     except (TrainingDivergedError, DegenerateNetworkError):
         return ExperimentRecord(
@@ -174,16 +172,8 @@ def run_margin_cell(cfg: ExperimentConfig, dim: int, seed: int) -> ExperimentRec
         net, data.points, test, cfg.margin_slack
     )
     final = trace.final()
-    return ExperimentRecord(
-        dim=dim,
-        seed=seed,
-        frac_train_on_margin=frac_train,
-        frac_test_on_or_above_margin=frac_test,
-        final_loss=final.loss,
-        margin=m,
-        kkt_residual=final.kkt_residual,
-        wall_time_s=time.perf_counter() - t0,
-    )
+    return ExperimentRecord(dim, seed, frac_train, frac_test, final.loss, m,
+                            final.kkt_residual, time.perf_counter() - t0)
 
 
 def run_margin_experiment(cfg: ExperimentConfig, log=None) -> MarginExperimentResult:
@@ -290,7 +280,8 @@ def run_reconstruction_pipeline(
     Default data is uniform on [-2, 2] with random labels.  For a one-point
     dataset and width 1 the closed-form single-neuron recovery is used.
     Dead random inits (possible at tiny widths) are retried with a shifted
-    seed, deterministically.
+    seed, deterministically.  With ``recon_require_convergence`` a run that
+    did not stop at ``targets-met`` raises :class:`DegenerateNetworkError`.
     """
     if cfg.dims != (1,):
         raise ValueError("reconstruction pipeline needs dims == (1,)")
@@ -303,10 +294,10 @@ def run_reconstruction_pipeline(
         raise ValueError("reconstruction pipeline needs univariate data")
 
     net, trace, retries = training.train_non_degenerate(
-        data,
-        replace(cfg.train, rng_seed=init_seed),
-        require_targets_met=cfg.recon_require_convergence,
+        data, replace(cfg.train, rng_seed=init_seed)
     )
+    if cfg.recon_require_convergence and trace.stop_reason != "targets-met":
+        raise DegenerateNetworkError(f"training stopped at {trace.stop_reason}, not targets-met")
     m, _ = kkt.margin(net, data)
     true_points = tuple(float(x) for x in data.points[:, 0])
     final = trace.final()

@@ -31,14 +31,18 @@ LOSS_KINDS = ("exponential", "logistic")
 # (exp(-z) underflows near z = 745, so this leaves a wide safety band).
 LR_GROWTH_FREEZE_LOSS = 1e-100
 
+MAX_RESEEDS = 20  # how often train_non_degenerate re-seeds a dead run, at most
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for one training run.
 
-    ``width`` is the hidden-layer size.  Training stops when the loss is at
-    most ``loss_target`` AND the stationarity residual is at most
-    ``kkt_residual_target`` (both checked every ``checkpoint_every`` steps),
-    or after ``max_steps`` updates.
+    ``width`` is the hidden-layer size.  Checked every ``checkpoint_every``
+    steps, training stops at ``targets-met`` once the loss is at most
+    ``loss_target`` AND the stationarity residual at most
+    ``kkt_residual_target``, at ``zero-gradient`` once the gradient is
+    exactly zero, or at ``max-steps`` after ``max_steps`` updates.
     """
 
     width: int
@@ -91,7 +95,12 @@ TRACE_CSV_COLUMNS = tuple(f.name for f in fields(TraceRecord))
 
 @dataclass
 class TrainTrace:
-    """Checkpoint records plus run-level outcome flags."""
+    """Checkpoint records plus run-level outcome flags.
+
+    ``stop_reason`` is ``targets-met``, ``max-steps``, ``zero-gradient``
+    (both gradient blocks exactly zero at a checkpoint: no later step could
+    move the parameters) or ``diverged`` (on a TrainingDivergedError's trace).
+    """
 
     records: list[TraceRecord] = field(default_factory=list)
     reached_loss_below_1_over_n: bool = False
@@ -193,7 +202,9 @@ def train(data: LabeledDataset, cfg: TrainConfig) -> tuple[NetworkParams, TrainT
     halves it, which keeps the margin growing at roughly log(lr_growth) per
     step.  In both phases a step that would overflow the loss or an output
     is refused (halving the step size, without a warning) but still counts
-    against ``max_steps``.  The trace's final record always describes the
+    against ``max_steps``.  A run whose gradient is exactly zero at a
+    checkpoint stops there (``zero-gradient``), returning the parameters a
+    full-length run would.  The trace's final record always describes the
     returned parameters.  Raises :class:`TrainingDivergedError` if the
     initial loss is non-finite, or if the parameters overflow unseen by the
     refusal rule (in a neuron dead on every point) by a checkpoint.
@@ -239,6 +250,8 @@ def train(data: LabeledDataset, cfg: TrainConfig) -> tuple[NetworkParams, TrainT
                 trace.reached_loss_below_1_over_n = True
                 trace.first_step_below_1_over_n = step
 
+            if g_v is None:
+                g_v = _gradient_arrays(ys, act, z, v, cfg.loss_kind, per, out=g)[1]
             last = step == cfg.max_steps
             if step % cfg.checkpoint_every == 0 or last:
                 w, b = w0 + c.T @ xs, b0 + c.sum(axis=0)
@@ -260,12 +273,14 @@ def train(data: LabeledDataset, cfg: TrainConfig) -> tuple[NetworkParams, TrainT
                 if loss_now <= cfg.loss_target and residual <= cfg.kkt_residual_target:
                     trace.stop_reason = "targets-met"
                     return net_now, trace
+                # A zero step changes no state, so no later step would either.
+                if not (g.any() or g_v.any()):
+                    trace.stop_reason = "zero-gradient"
+                    return net_now, trace
                 if last:
                     trace.stop_reason = "max-steps"
                     return net_now, trace
 
-            if g_v is None:
-                g_v = _gradient_arrays(ys, act, z, v, cfg.loss_kind, per, out=g)[1]
             c_new = trial[0]
             np.subtract(c, np.multiply(g, lr, out=c_new), out=c_new)
             v_new = v - lr * g_v
@@ -291,32 +306,25 @@ def train(data: LabeledDataset, cfg: TrainConfig) -> tuple[NetworkParams, TrainT
 
 
 def train_non_degenerate(
-    data: LabeledDataset,
-    cfg: TrainConfig,
-    max_retries: int = 20,
-    require_targets_met: bool = False,
+    data: LabeledDataset, cfg: TrainConfig
 ) -> tuple[NetworkParams, TrainTrace, int]:
-    """Train, deterministically re-seeding until the run actually fit.
+    """Train, deterministically re-seeding a run that died.
 
-    Small random inits can start with dead neurons (no gradient signal at
-    all) or commit to a structure that never classifies every point; the
-    margin analysis is only meaningful for runs whose loss dropped below
-    1/n.  With ``require_targets_met`` a run must additionally have stopped
-    by reaching the loss and stationarity targets, not by running out of
-    steps.  Returns (net, trace, retries_used).
+    A small init can leave every neuron inactive on every point, from the
+    start or after a few steps; the output is then zero and the run stops at
+    ``zero-gradient``.  Only such a run is re-seeded (MAX_RESEEDS times at
+    most): a new init cannot help a live run that did not fit.  Raises
+    :class:`DegenerateNetworkError` unless the returned run got its loss
+    below 1/n with a nonzero output.  Returns (net, trace, retries_used).
     """
-    for attempt in range(max_retries + 1):
-        run_cfg = replace(cfg, rng_seed=cfg.rng_seed + 1_000_003 * attempt)
-        net, trace = train(data, run_cfg)
-        usable = (trace.final().residual_method != "degenerate"
-                  and trace.reached_loss_below_1_over_n)
-        if usable and require_targets_met:
-            usable = trace.stop_reason == "targets-met"
-        if usable:
-            return net, trace, attempt
-    raise DegenerateNetworkError(
-        f"training failed to fit the data in {max_retries + 1} attempts"
-    )
+    for attempt in range(MAX_RESEEDS + 1):
+        net, trace = train(data, replace(cfg, rng_seed=cfg.rng_seed + 1_000_003 * attempt))
+        dead = trace.final().residual_method == "degenerate"
+        if not (dead and trace.stop_reason == "zero-gradient"):
+            break
+    if dead or not trace.reached_loss_below_1_over_n:
+        raise DegenerateNetworkError(f"training failed to fit the data ({trace.stop_reason})")
+    return net, trace, attempt
 
 
 def write_trace_csv(trace: TrainTrace, path) -> None:

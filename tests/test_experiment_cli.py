@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import hypothesis
@@ -12,6 +13,7 @@ from marginleak.cli import main
 from marginleak.experiment import (
     RECONSTRUCTION_MATCH_TOL,
     config_from_file,
+    margin_fractions,
     match_candidates,
     parse_flat_config,
     write_margin_plot_csv,
@@ -36,7 +38,12 @@ class TestMarginExperiment:
         cfg = tiny_margin_config()
         result = ml.run_margin_experiment(cfg)
         assert len(result.records) == 4
+        # The run of cell (2, 1) stays live but ends at loss 0.26, above
+        # 1/n = 0.25, and a live run that does not fit is not re-seeded.
+        assert [(r.dim, r.seed) for r in result.records if r.diverged] == [(2, 1)]
         for rec in result.records:
+            if rec.diverged:
+                continue
             assert 0.0 <= rec.frac_train_on_margin <= 1.0
             assert 0.0 <= rec.frac_test_on_or_above_margin <= 1.0
         for agg in result.aggregates:
@@ -50,6 +57,14 @@ class TestMarginExperiment:
         cfg = ml.ExperimentConfig(dims=(2,), seeds=(0,), train=train, n_train=1, n_test=5)
         result = ml.run_margin_experiment(cfg)
         assert result.records[0].frac_train_on_margin == 1.0
+
+    def test_margin_fractions_use_the_package_margin(self):
+        net, data, _, _ = opposite_pair_network([2.0])
+        test = np.array([[0.0], [5.0]])
+        assert margin_fractions(net, data.points, test, 0.1)[0] == ml.margin(net, data)[0]
+        with pytest.raises(ml.DegenerateNetworkError):
+            margin_fractions(ml.NetworkParams.from_neurons([([1.0], 0.0, 0.0)]),
+                             data.points, test, 0.1)
 
     def test_ordering_sorted_by_dim_then_seed(self):
         cfg = tiny_margin_config(seeds=(1, 0))
@@ -122,6 +137,22 @@ class TestReconstructionPipeline:
         report = ml.run_reconstruction_pipeline(cfg, 0)
         assert report.used_single_recovery
         assert abs(report.candidates.points[0] - report.true_points[0]) <= 1e-6
+
+    def test_warmup_reseeds_only_dead_runs(self):
+        # The acceptance warm-up config: seed 6 needs 7 re-seeds and seed 8
+        # needs 5, each after a run whose neuron died.
+        train = ml.TrainConfig(width=1, init_scale=1e-4, learning_rate=5e-2, max_steps=6000,
+                               loss_target=1e-9, kkt_residual_target=1e-6,
+                               checkpoint_every=200)
+        cfg = ml.ExperimentConfig(dims=(1,), seeds=(6, 8), train=train, n_train=1, n_test=5)
+        assert [ml.run_reconstruction_pipeline(cfg, s).retries for s in (6, 8)] == [7, 5]
+
+    def test_require_convergence_raises_unless_targets_met(self):
+        cfg = recon_config((0,))
+        cfg = replace(cfg, train=replace(cfg.train, kkt_residual_target=1e-12))
+        assert ml.run_reconstruction_pipeline(cfg, 0).retries == 0
+        with pytest.raises(ml.DegenerateNetworkError, match="max-steps"):
+            ml.run_reconstruction_pipeline(replace(cfg, recon_require_convergence=True), 0)
 
     def test_requires_univariate_config(self):
         train = ml.TrainConfig(width=4, max_steps=10)

@@ -1,9 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import marginleak as ml
+from marginleak import training
+from marginleak.experiment import _cell_seeds, _sample_labeled, _uniform_1d_dataset
 from marginleak.model import params_from_vector
 from marginleak.training import (
     LR_GROWTH_FREEZE_LOSS,
@@ -11,6 +14,7 @@ from marginleak.training import (
     _gradient_arrays,
     _loss_derivative,
     loss_values,
+    train,
 )
 from train_reference import reference_train
 
@@ -21,6 +25,24 @@ def dataset(points, labels):
 
 def zero_network(d=2, k=3):
     return ml.NetworkParams(np.zeros((k, d)), np.zeros(k), np.zeros(k))
+
+
+def same_params(a, b):
+    return all(np.array_equal(getattr(a, f), getattr(b, f))
+               for f in ("weights", "biases", "out_weights"))
+
+
+def warmup_seed8_attempt4():
+    """Attempt 4 of the acceptance warm-up's seed 8 (x = -0.679, y = +1).
+
+    Its neuron goes inactive at step 10; from then on the output is zero and
+    the gradient exactly zero.
+    """
+    data_seed, _, init_seed = _cell_seeds(8)
+    cfg = ml.TrainConfig(width=1, init_scale=1e-4, learning_rate=5e-2, max_steps=6000,
+                         loss_target=1e-9, kkt_residual_target=1e-6, checkpoint_every=200,
+                         rng_seed=init_seed + 1_000_003 * 4)
+    return _uniform_1d_dataset(1, data_seed), cfg
 
 
 class TestLoss:
@@ -218,18 +240,74 @@ class TestTrain:
         assert trace.final().kkt_residual == report.stationarity_residual
 
     def test_dead_init_trace_says_degenerate(self):
-        # Seed 0 leaves the single neuron inactive on x = 0.7 for good.
+        # Seed 0 leaves the single neuron inactive on x = 0.7 for good, so
+        # the run stops at its first checkpoint.
         data = dataset([[0.7]], [1])
         cfg = ml.TrainConfig(width=1, max_steps=100, rng_seed=0, checkpoint_every=50)
-        _, trace = ml.train(data, cfg)
-        assert [(r.kkt_residual, r.residual_method) for r in trace.records] == [
-            (1.0, "degenerate")] * 3
+        net, trace = ml.train(data, cfg)
+        assert trace.stop_reason == "zero-gradient"
+        assert [(r.step, r.kkt_residual, r.residual_method) for r in trace.records] == [
+            (0, 1.0, "degenerate")]
+        # Both gradient blocks are exactly zero, so each step of a full-length
+        # run subtracts lr * 0 and leaves the init as it is.
+        assert not ml.gradient(net, data).flat().any()
+        assert same_params(net, ml.init_small(1, 1, cfg.init_scale, 0))
+
+    def test_neuron_dying_mid_run_stops_at_the_next_checkpoint(self):
+        data, cfg = warmup_seed8_attempt4()
+        net, trace = ml.train(data, cfg)
+        assert trace.stop_reason == "zero-gradient"
+        assert [r.step for r in trace.records] == [0, 200]
+        assert trace.final().residual_method == "degenerate"
+        _, every_step = ml.train(data, replace(cfg, checkpoint_every=1))
+        assert every_step.stop_reason == "zero-gradient"
+        assert every_step.final().step == 10
+        # With checkpoints only at steps 0 and 6000 the run takes every step.
+        full_net, full = ml.train(data, replace(cfg, checkpoint_every=6000))
+        assert [r.step for r in full.records] == [0, 6000]
+        assert same_params(net, full_net)
+
+    def test_live_run_that_does_not_fit_gets_one_attempt(self, monkeypatch):
+        # Cell 3 of the acceptance sweep at d=5: its two classes overlap, and
+        # the run stays live but never gets its loss below 1/n.
+        data_seed, _, init_seed = _cell_seeds(3)
+        data = _sample_labeled(5, 20, 1.0, data_seed)
+        cfg = ml.TrainConfig(width=1000, init_scale=1e-2, learning_rate=1e-2, max_steps=2500,
+                             loss_target=1e-8, kkt_residual_target=5e-3, rng_seed=init_seed)
+        attempts = []
+
+        def counted(data, cfg):
+            net, trace = train(data, cfg)
+            attempts.append((cfg.rng_seed, trace.stop_reason, trace.reached_loss_below_1_over_n))
+            return net, trace
+
+        monkeypatch.setattr(training, "train", counted)
+        with pytest.raises(ml.DegenerateNetworkError, match="max-steps"):
+            ml.train_non_degenerate(data, cfg)
+        assert attempts == [(init_seed, "max-steps", False)]
+
+    def test_fitted_run_with_underflowed_gradient_is_not_reseeded(self):
+        # Seed 6 puts the initial output at +3467 on this point (see
+        # test_divergence_reported_with_trace).  exp(-3467) underflows, so the
+        # loss and both gradient blocks are exactly zero, yet the point is
+        # classified and the network is live.
+        data = dataset([[1000.0]], [1])
+        cfg = ml.TrainConfig(width=2, init_scale=1.0, learning_rate=1e-3,
+                             max_steps=50, rng_seed=6)
+        _, trace, retries = ml.train_non_degenerate(data, cfg)
+        assert (trace.stop_reason, trace.final().step, retries) == ("zero-gradient", 0, 0)
+        assert trace.final().loss == 0.0
+        assert trace.final().residual_method != "degenerate"
 
     def test_retry_skips_dead_inits(self):
+        # Seed 0 is dead at init; the first re-seed is live and fits.  At the
+        # default step size of 1e-3 it would need 420 steps to get its loss
+        # below 1/n, and a live run gets no second init.
         data = dataset([[0.7]], [1])
-        cfg = ml.TrainConfig(width=1, max_steps=400, loss_target=1e-4,
+        cfg = ml.TrainConfig(width=1, learning_rate=5e-2, max_steps=400, loss_target=1e-4,
                              kkt_residual_target=0.5, rng_seed=0, checkpoint_every=50)
         net, trace, retries = ml.train_non_degenerate(data, cfg)
+        assert retries == 1
         assert trace.reached_loss_below_1_over_n
         assert abs(ml.forward(net, [0.7])) > 0
 
@@ -289,6 +367,16 @@ class TestRowSpaceMatchesWeightSpace:
     def test_shapes_and_losses(self, case, kind):
         data, kwargs = ROW_SPACE_CASES[case]
         self.check(data, ml.TrainConfig(loss_kind=kind, **kwargs))
+
+    @pytest.mark.parametrize("stalled", ["dead-init", "dies-at-step-10"])
+    def test_stalled_runs_stop_alike(self, stalled):
+        if stalled == "dead-init":
+            data = dataset([[0.7]], [1])
+            cfg = ml.TrainConfig(width=1, max_steps=100, rng_seed=0, checkpoint_every=50)
+        else:
+            data, cfg = warmup_seed8_attempt4()
+        ref_trace, _ = self.check(data, cfg)
+        assert ref_trace.stop_reason == "zero-gradient"
 
     def test_refused_overflow_steps(self):
         # With a step size this large, two steps would overflow the

@@ -42,7 +42,7 @@ def _gradient(xs, ys, pre, act, z, v, kind):
 def reference_train(
     data: LabeledDataset, cfg: TrainConfig
 ) -> tuple[NetworkParams, TrainTrace, int]:
-    """Weight-space gradient descent with the schedule and checks of ``train``.
+    """Weight-space gradient descent with the schedule, checks and stop rules of ``train``.
 
     Returns (net, trace, refused), where ``refused`` counts the steps refused
     because the loss or an output would have overflowed.
@@ -75,6 +75,8 @@ def reference_train(
             trace.reached_loss_below_1_over_n = True
             trace.first_step_below_1_over_n = step
 
+        if grads is None:
+            grads = _gradient(xs, ys, pre, act, z, v, cfg.loss_kind)
         last = step == cfg.max_steps
         if step % cfg.checkpoint_every == 0 or last:
             net_now = NetworkParams(w, b, v)
@@ -94,12 +96,13 @@ def reference_train(
             if loss_now <= cfg.loss_target and residual <= cfg.kkt_residual_target:
                 trace.stop_reason = "targets-met"
                 return net_now, trace, refused
+            if not any(block.any() for block in grads):
+                trace.stop_reason = "zero-gradient"
+                return net_now, trace, refused
             if last:
                 trace.stop_reason = "max-steps"
                 return net_now, trace, refused
 
-        if grads is None:
-            grads = _gradient(xs, ys, pre, act, z, v, cfg.loss_kind)
         w_new = w - lr * grads[0]
         b_new = b - lr * grads[1]
         v_new = v - lr * grads[2]
