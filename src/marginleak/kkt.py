@@ -78,7 +78,7 @@ class KktReport:
     stationarity_residual: float
     sigma_primes: np.ndarray  # (n, k) in {0, 1}
     diagnostics: DiagnosticBounds | None = None
-    # "direct" forms theta - sum lambda_i y_i g_i;
+    # "direct" forms theta - sum lambda_i y_i g_i split at the support span;
     # "direct+kink-refinement" also refined the subgradients at kinks and
     # reports the smallest residual over its passes; "quadratic-form"
     # expands the square through the Gram matrix (large networks, no
@@ -118,19 +118,19 @@ def _dual_normal(s_y, s_sigma, s_pre, s_act, v, inner_x):
     return gram, rhs
 
 
-def _direct_residual(net: NetworkParams, s_xt: np.ndarray, s_sigma: np.ndarray,
-                     s_act: np.ndarray, c: np.ndarray, theta_norm: float) -> float:
+def _span_residual(span, s_sigma: np.ndarray, s_act: np.ndarray, c: np.ndarray,
+                   v: np.ndarray) -> float:
     """||theta - sum_i c_i grad Phi(x_i)|| / ||theta|| with c = lambda * y.
 
-    s_xt holds the support points with a column of ones appended; the sum is
-    formed per parameter block, in O(k d) memory.
+    ``span`` = (coord, xq, perp_sq, theta_norm), with Q an orthonormal basis of
+    the span of the rows x~_t of X~_S: coord = [W, b] Q, xq = X~_S Q, perp_sq =
+    ||[W, b] - coord Q^T||^2.  Each sum lies in the span, so by Pythagoras the
+    residual is split there into two direct differences, in O(k s) work.
     """
-    v = net.out_weights
-    wb = ((s_sigma * c[:, None]).T @ s_xt) * v[:, None]
-    r_w = net.weights - wb[:, :-1]
-    r_b = net.biases - wb[:, -1]
+    coord, xq, perp_sq, theta_norm = span
+    r_span = coord - ((s_sigma * c[:, None]).T @ xq) * v[:, None]
     r_v = v - s_act.T @ c
-    return math.sqrt(float(np.vdot(r_w, r_w) + r_b @ r_b + r_v @ r_v)) / theta_norm
+    return math.sqrt(perp_sq + float(np.vdot(r_span, r_span)) + r_v @ r_v) / theta_norm
 
 
 def _refine_kink_subgradients(
@@ -145,7 +145,8 @@ def _refine_kink_subgradients(
 ) -> tuple[np.ndarray, float]:
     """Alternate between the dual NNLS and the kink subgradients.
 
-    ``solve(sigma)`` returns the dual solution and its residual; (lam,
+    ``solve(sigma, start)`` returns the dual solution and its residual, its
+    NNLS warm-started from the previous solve's positive set ``start``; (lam,
     residual) is its value at the strict subgradients.  Entries flagged as
     kinks move freely inside [0, 1]: neuron j's kink entries solve
     min ||[w_j, b_j] / v_j - sum_t c_t s_tj x~_t|| with c = lambda * y, whose
@@ -154,13 +155,19 @@ def _refine_kink_subgradients(
     c_t x~_t . [w_j, b_j] / v_j = c_t pre_tj / v_j.  The Grams of all
     patterns with r kink rows are pseudo-inverted as one hermitian
     (P_r, r, r) stack with cutoff eps * r, which gives the minimum-norm
-    least-squares solution.  Clipping that solution to [0, 1] is not the
-    box-constrained minimizer once a neuron has two kink rows, so a pass can
-    raise the residual; the best (lam, residual) over all solves is returned.
+    least-squares solution; a pass costs O(k s^2), whatever d is.  Clipping
+    that solution to [0, 1] is not the box-constrained minimizer once a
+    neuron has two kink rows, so a pass can raise the residual; the best
+    (lam, residual) over all solves is returned.
     """
     neurons = np.nonzero(kink.any(axis=0) & (v != 0.0))[0]
-    patterns, group = np.unique(kink[:, neurons], axis=1, return_inverse=True)
-    group = group.ravel()
+    # Distinct kink patterns (columns), sorted by one lexsort, and each neuron's.
+    cols = kink[:, neurons]
+    order = np.lexsort(cols[::-1])
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (cols[:, order[1:]] != cols[:, order[:-1]]).any(axis=0)
+    patterns = cols[:, order[first]]
+    group = (np.cumsum(first) - 1)[np.argsort(order)]
     sigma_work = (s_pre > 0.0).astype(float)
     fixed_sigma = np.where(kink, 0.0, sigma_work)[:, neurons]
     target_x = s_pre[:, neurons] / v[neurons]  # x~_t . [w_j, b_j] / v_j
@@ -190,7 +197,7 @@ def _refine_kink_subgradients(
             sol = (pinv[which] @ rhs[kink_rows, members[:, None], None])[..., 0]
             sigma_work[kink_rows, neurons[members, None]] = np.clip(sol, 0.0, 1.0)
         previous = residual
-        lam, residual = solve(sigma_work)
+        lam, residual = solve(sigma_work, lam > 0.0)
         if residual <= best[1]:
             best = lam, residual
     return best
@@ -245,16 +252,22 @@ def estimate_lambdas(
         residual = math.sqrt(max(res_sq, 0.0)) / theta_norm
     else:
         method = "direct"
+        # The (d+1)-wide work, once.  With s >= d+1 points Q spans all: no perp.
         s_xt = np.column_stack([s_x, np.ones(idx.size)])
-        residual = _direct_residual(net, s_xt, s_sigma, s_act, lam * s_y, theta_norm)
+        q = np.linalg.qr(s_xt.T)[0]
+        wb = np.column_stack([net.weights, net.biases])
+        coord = wb @ q
+        perp = np.subtract(wb, coord @ q.T, out=wb) if q.shape[1] <= net.input_dim else wb[:0]
+        span = coord, s_xt @ q, float(np.vdot(perp, perp)), theta_norm
+        residual = _span_residual(span, s_sigma, s_act, lam * s_y, v)
         kink_scale = np.maximum(np.max(np.abs(pre), axis=0), np.finfo(float).tiny)
         kink = np.abs(s_pre) <= KINK_REL_TOL * kink_scale
         if kink.any():
             method = "direct+kink-refinement"
 
-            def solve(s_sig):
-                lam_s = nnls_normal(*_dual_normal(s_y, s_sig, s_pre, s_act, v, inner_x))
-                return lam_s, _direct_residual(net, s_xt, s_sig, s_act, lam_s * s_y, theta_norm)
+            def solve(s_sig, start):
+                lam_s = nnls_normal(*_dual_normal(s_y, s_sig, s_pre, s_act, v, inner_x), start)
+                return lam_s, _span_residual(span, s_sig, s_act, lam_s * s_y, v)
 
             lam, residual = _refine_kink_subgradients(
                 v, s_pre, s_y, inner_x, kink, solve, lam, residual

@@ -15,12 +15,16 @@ MAX_ITER = 10_000
 TOL = 1e-12
 
 
-def nnls_normal(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def nnls_normal(gram: np.ndarray, rhs: np.ndarray, passive=None) -> np.ndarray:
     """Solve min_{x >= 0} ||A x - b|| from gram = A^T A, rhs = A^T b.
 
     ``TOL`` times max(1, ||rhs||_inf) bounds the positive part of the dual
     vector rhs - gram @ x at the returned solution.  Rank-deficient
-    subproblems are handled with a least-squares solve.
+    subproblems are handled with a least-squares solve.  The bool mask
+    ``passive`` is a warm start (Van Benthem & Keenan, J. Chemometrics 2004),
+    taken when the restricted solve on it is strictly positive; otherwise the
+    solver starts cold.  x is the restricted solve on the final passive set,
+    so a start equal to the cold start's final set gives its x bit for bit.
     """
     gram = np.asarray(gram, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -29,7 +33,7 @@ def nnls_normal(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise ValueError(f"gram must be ({n}, {n}), got {gram.shape}")
 
     x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
+    passive = np.zeros(n, dtype=bool) if passive is None else np.array(passive, bool).reshape(n)
     dual = rhs.copy()
     scale = max(1.0, float(np.max(np.abs(rhs))) if n else 1.0)
 
@@ -43,6 +47,12 @@ def nnls_normal(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         except np.linalg.LinAlgError:
             pass
         return np.linalg.lstsq(sub, target, rcond=None)[0]
+
+    if passive.any() and (s := restricted_solve()).min() > 0.0:
+        x[passive] = s
+        dual = rhs - gram @ x
+    else:
+        passive[:] = False
 
     for _ in range(MAX_ITER):
         free = ~passive

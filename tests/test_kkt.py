@@ -217,13 +217,13 @@ class TestBatchedKinkRefinement:
         data = _sample_labeled(100, 20, 1.0, seed=0)
         net = _trained(data, 1000, checkpoint_every=600, rng_seed=2, max_steps=600)
         solves = []
-        direct = ml.kkt._direct_residual
+        direct = ml.kkt._span_residual
 
         def recorded(*args):
             solves.append(direct(*args))
             return solves[-1]
 
-        monkeypatch.setattr(ml.kkt, "_direct_residual", recorded)
+        monkeypatch.setattr(ml.kkt, "_span_residual", recorded)
         report = self.assert_matches_reference(net, data)
         assert report.residual_method == "direct+kink-refinement"
         assert solves[-1] > min(solves)
@@ -251,6 +251,45 @@ class TestBatchedKinkRefinement:
         report = self.assert_matches_reference(net, dup)
         assert report.residual_method == "direct+kink-refinement"
         assert report.lambdas[3] > 0.0 and report.lambdas[6] > 0.0
+
+    def test_trained_recon_1d_run_with_a_spanning_support(self):
+        # The recon-1d workload's schedule.  Three support points span all of
+        # the (x, 1) space, so no part of the residual lies outside their span.
+        data = _two_cluster_1d_dataset(6, seed=0)
+        net = _trained(data, 64, init_scale=1e-4, learning_rate=5e-2, max_steps=30_000,
+                       loss_target=1e-9, kkt_residual_target=1e-3, checkpoint_every=2000)
+        report = self.assert_matches_reference(net, data)
+        assert report.residual_method == "direct+kink-refinement"
+        assert len(report.support_indices) > net.input_dim + 1
+
+    def test_exactly_duplicated_support_point(self):
+        # Six support points in d=20, two of them equal: the support points
+        # with a one appended have rank 5, and both copies keep a positive dual.
+        data = _sample_labeled(20, 5, 1.0, seed=0)
+        dup = _with_extra_point(data, data.points[:1])
+        net = _trained(dup, 64)
+        report = self.assert_matches_reference(net, dup)
+        assert report.support_indices == tuple(range(6))
+        assert report.lambdas[0] > 0.0 and report.lambdas[5] > 0.0
+
+    @pytest.mark.parametrize("train_with_copy", [False, True])
+    def test_duplicated_point_split_does_not_depend_on_warm_starts(self, monkeypatch,
+                                                                   train_with_copy):
+        # Only the sum of two copies' duals is determined.  Warm-starting the
+        # refinement's NNLS solves must leave the split of cold starts.
+        data = _sample_labeled(20, 5, 1.0, seed=0)
+        dup = _with_extra_point(data, data.points[:1])
+        net = _trained(dup if train_with_copy else data, 64)
+        warm = ml.estimate_lambdas(net, dup)
+        nnls_normal = ml.kkt.nnls_normal
+        monkeypatch.setattr(ml.kkt, "nnls_normal",
+                            lambda gram, rhs, passive=None: nnls_normal(gram, rhs))
+        cold = ml.estimate_lambdas(net, dup)
+        assert warm.residual_method == "direct+kink-refinement"
+        np.testing.assert_array_equal(warm.lambdas, cold.lambdas)
+        assert warm.stationarity_residual == cold.stationarity_residual
+        split = (0.12336817, 0.03011945) if train_with_copy else (0.14790011, 0.00381321)
+        assert warm.lambdas[[0, 5]] == pytest.approx(split, rel=1e-6)
 
     def test_trained_d100_checkpoint(self):
         # The margin-d100 cell's shape and schedule at width 256.

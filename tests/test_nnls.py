@@ -26,7 +26,10 @@ def test_optimality_conditions(seed):
     a = rng.normal(size=(30, 8))
     b = rng.normal(size=30)
     gram, rhs = a.T @ a, a.T @ b
-    x = nnls_normal(gram, rhs)
+    assert_optimal(gram, rhs, nnls_normal(gram, rhs))
+
+
+def assert_optimal(gram, rhs, x):
     assert np.all(x >= 0)
     dual = rhs - gram @ x
     scale = max(1.0, np.max(np.abs(rhs)))
@@ -52,15 +55,20 @@ def test_all_negative_correlations_give_zero():
     np.testing.assert_array_equal(x, np.zeros(3))
 
 
-def test_duplicate_columns_handled():
+def test_duplicate_columns_handled(start=None):
     rng = np.random.default_rng(8)
     col = rng.normal(size=12)
     a = np.column_stack([col, col, rng.normal(size=12)])
     b = 2.0 * col
-    x = nnls_normal(a.T @ a, a.T @ b)
+    x = nnls_normal(a.T @ a, a.T @ b, start)
     # The split between the twin columns is arbitrary; the fit is not.
     np.testing.assert_allclose(a @ x, b, atol=1e-8)
     assert np.all(x >= 0)
+
+
+@pytest.mark.parametrize("twin", [0, 1])
+def test_duplicate_columns_handled_warm_from_each_twin(twin):
+    test_duplicate_columns_handled(start=np.arange(3) == twin)
 
 
 def test_shape_validation():
@@ -113,3 +121,20 @@ def test_property_zero_pattern_matches_scipy_when_unique(problem):
     inactive = (want == 0.0) & (dual < -tol)
     assert np.all(got[positive] > 0.0)
     assert np.all(got[inactive] == 0.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_problems(), st.data())
+def test_property_warm_start(problem, data):
+    a, b = problem
+    gram, rhs = a.T @ a, a.T @ b
+    start = data.draw(hnp.arrays(bool, a.shape[1]))
+    cold = nnls_normal(gram, rhs)
+    warm = nnls_normal(gram, rhs, start)
+    assert_optimal(gram, rhs, warm)
+    objective = lambda x: float(np.sum((a @ x - b) ** 2))
+    assert abs(objective(warm) - objective(cold)) <= 1e-8 * max(1.0, float(b @ b))
+    # An all-False start is the cold start, and a start at the cold solution's
+    # positive set returns that solution, bit for bit.
+    assert np.array_equal(nnls_normal(gram, rhs, np.zeros_like(start)), cold)
+    assert np.array_equal(nnls_normal(gram, rhs, cold > 0.0), cold)
