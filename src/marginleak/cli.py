@@ -35,20 +35,16 @@ from .model import (
 OUT_DIR_ENV = "MARGINLEAK_OUT_DIR"
 
 
-def _out_dir(args) -> Path:
-    raw = getattr(args, "out_dir", None) or os.environ.get(OUT_DIR_ENV) or "."
-    path = Path(raw)
+def _out_dir(given) -> Path:
+    """``given``, else $MARGINLEAK_OUT_DIR, else ".", created if missing."""
+    path = Path(given or os.environ.get(OUT_DIR_ENV) or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
 def _out_path(args, given, name: str) -> Path:
     """The path a flag gave, else ``name`` in the default output directory."""
-    return Path(given) if given else _out_dir(args) / name
-
-
-def _experiment_out_dir(args, cfg: experiment.ExperimentConfig) -> Path:
-    return _out_dir(argparse.Namespace(out_dir=args.out_dir or cfg.out_dir))
+    return Path(given) if given else _out_dir(args.out_dir) / name
 
 
 def _positive_finite(text: str) -> float:
@@ -217,7 +213,7 @@ def _cmd_check_dist(args) -> int:
 
 def _cmd_experiment_margin(args) -> int:
     cfg = experiment.config_from_file(args.config)
-    out = _experiment_out_dir(args, cfg)
+    out = _out_dir(args.out_dir or cfg.out_dir)
     t0 = time.perf_counter()
     result = experiment.run_margin_experiment(cfg, log=print)
     meta = (
@@ -235,7 +231,7 @@ def _cmd_experiment_margin(args) -> int:
 
 def _cmd_experiment_reconstruct(args) -> int:
     cfg = experiment.config_from_file(args.config, overrides={"dims": (1,)})
-    out = _experiment_out_dir(args, cfg)
+    out = _out_dir(args.out_dir or cfg.out_dir)
     t0 = time.perf_counter()
     reports = experiment.run_reconstruction_sweep(cfg, log=print)
     meta = (

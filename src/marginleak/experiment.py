@@ -9,8 +9,9 @@ deterministic given their seed.
 from __future__ import annotations
 
 import math
+import operator
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -73,16 +74,25 @@ class ExperimentConfig:
     out_dir: Path | None = None
 
     def __post_init__(self):
-        if not self.dims or not self.seeds:
+        try:
+            dims = tuple(map(operator.index, self.dims))
+            seeds = tuple(map(operator.index, self.seeds))
+        except TypeError:
+            raise ValueError("dims and seeds must be sequences of integers") from None
+        if not dims or not seeds:
             raise ValueError("dims and seeds must be nonempty")
-        if min(self.dims) < 1 or self.n_train < 1 or self.n_test < 1:
+        if min(dims) < 1 or self.n_train < 1 or self.n_test < 1:
             raise ValueError("dims, n_train and n_test must be positive")
+        if min(seeds) < 0:
+            raise ValueError("seeds must be nonnegative")
         if not 0 < self.margin_slack < 1:
             raise ValueError("margin_slack must be in (0, 1)")
+        if not math.isfinite(self.mixture_mean_coord):
+            raise ValueError("mixture_mean_coord must be finite")
         if self.recon_data_scheme not in RECON_DATA_SCHEMES:
             raise ValueError(f"recon_data_scheme must be one of {RECON_DATA_SCHEMES}")
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "seeds", seeds)
 
     @property
     def width(self) -> int:
@@ -385,74 +395,57 @@ def write_reconstruction_csv(
     _write_csv(path, RECON_CSV_COLUMNS, rows, f"reconstruction-experiment {metadata}")
 
 
-# --- flat key=value config files -------------------------------------------
+# --- TOML config files -------------------------------------------------------
 
-_INT_KEYS = ("width", "n_train", "n_test", "max_steps", "checkpoint_every")
-_FLOAT_KEYS = (
-    "margin_slack", "mixture_mean_coord", "init_scale", "learning_rate",
-    "lr_growth", "loss_target", "kkt_residual_target",
-)
-_LIST_KEYS = ("dims", "seeds")
-_STR_KEYS = ("loss_kind", "out_dir", "recon_data_scheme")
-_BOOL_KEYS = ("recon_require_convergence",)
-_ALL_KEYS = _INT_KEYS + _FLOAT_KEYS + _LIST_KEYS + _STR_KEYS + _BOOL_KEYS
-
-
-def parse_flat_config(text: str) -> dict:
-    """Parse ``key = value`` lines; '#' starts a comment.
-
-    Lists are comma-separated integers and may be wrapped in brackets.
-    """
-    values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise FileFormatError(f"line {lineno}: expected 'key = value'")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key not in _ALL_KEYS:
-            raise FileFormatError(f"line {lineno}: unknown key {key!r}")
-        if key in values:
-            raise FileFormatError(f"line {lineno}: duplicate key {key!r}")
-        try:
-            if key in _LIST_KEYS:
-                val = val.strip("[]")
-                values[key] = tuple(int(tok.strip()) for tok in val.split(",") if tok.strip())
-            elif key in _INT_KEYS:
-                values[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(val)
-            elif key in _BOOL_KEYS:
-                if val.lower() not in ("true", "false"):
-                    raise ValueError(f"expected true/false, got {val!r}")
-                values[key] = val.lower() == "true"
-            else:
-                values[key] = val
-        except ValueError as exc:
-            raise FileFormatError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    return values
+# Per field annotation of the two config dataclasses: the TOML value types it
+# accepts (exact types, so a bool is not an int), what they are called, and the
+# conversion to the field's type.
+_TOML_FIELD_TYPES = {
+    "int": ((int,), "an integer", int),
+    "float": ((int, float), "a number", float),
+    "str": ((str,), "a string", str),
+    "bool": ((bool,), "a boolean", bool),
+    "tuple[int, ...]": ((list,), "an array of integers", tuple),
+    "Path | None": ((str,), "a string", Path),
+}
 
 
 def config_from_file(path, overrides: dict | None = None) -> ExperimentConfig:
-    """Build an :class:`ExperimentConfig` from a flat config file."""
-    values = parse_flat_config(Path(path).read_text())
-    if overrides:
-        values.update(overrides)
-    if "dims" not in values or "seeds" not in values:
-        raise FileFormatError("config must set dims and seeds")
-    if "width" not in values:
-        raise FileFormatError("config must set width")
+    """Build an :class:`ExperimentConfig` from a TOML file.
 
-    # Keys are either TrainConfig or ExperimentConfig fields; only the keys
-    # present are passed, so each dataclass keeps its own defaults.
-    train_keys = {f.name for f in fields(training.TrainConfig)}
-    train_kwargs = {k: v for k, v in values.items() if k in train_keys}
-    exp_kwargs = {k: v for k, v in values.items() if k not in train_keys}
-    if "out_dir" in exp_kwargs:
-        exp_kwargs["out_dir"] = Path(exp_kwargs["out_dir"])
+    The keys are the fields of :class:`training.TrainConfig` except
+    ``rng_seed``, which each cell derives, and the fields of
+    :class:`ExperimentConfig` except ``train``; a field without a default
+    (``dims``, ``seeds``, ``width``) is required and the others keep their
+    defaults.  ``overrides`` hold typed field values and replace the file's
+    after its types are checked.  Malformed TOML, an unknown key, a value of
+    the wrong type and a value the dataclasses reject all raise
+    :class:`FileFormatError`.
+    """
+    import tomllib  # only here, so that importing marginleak does not load it
+
     try:
-        return ExperimentConfig(train=training.TrainConfig(**train_kwargs), **exp_kwargs)
+        values = tomllib.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # a TOMLDecodeError, or bytes that are not UTF-8
+        raise FileFormatError(f"{path}: {exc}") from exc
+    train_fields = {f.name: f for f in fields(training.TrainConfig) if f.name != "rng_seed"}
+    accepted = train_fields | {f.name: f for f in fields(ExperimentConfig) if f.name != "train"}
+    for key, value in values.items():
+        if key not in accepted:
+            raise FileFormatError(f"unknown config key {key!r}")
+        types, kind, convert = _TOML_FIELD_TYPES[accepted[key].type]
+        if type(value) not in types or (
+            type(value) is list and any(type(x) is not int for x in value)
+        ):
+            raise FileFormatError(f"config key {key!r} must be {kind}, got {value!r}")
+        values[key] = convert(value)
+    values.update(overrides or {})
+    missing = [k for k, f in accepted.items() if f.default is MISSING and k not in values]
+    if missing:
+        raise FileFormatError(f"config must set {', '.join(missing)}")
+
+    train_kwargs = {k: values.pop(k) for k in list(values) if k in train_fields}
+    try:
+        return ExperimentConfig(train=training.TrainConfig(**train_kwargs), **values)
     except ValueError as exc:
         raise FileFormatError(f"invalid config: {exc}") from exc

@@ -105,16 +105,17 @@ def _abs_and_margin(out: np.ndarray) -> tuple[np.ndarray, float]:
     return a, float(np.min(a))
 
 
-def _dual_normal(s_y, s_sigma, s_pre, s_act, v, inner_x):
+def _dual_normal(s_y, s_sigma, s_pre, v, inner_x, act_gram, act_v):
     """Normal equations (gram, rhs) of the dual least squares for subgradients s_sigma.
 
     <g_i, g_l> = y_i y_l [sum_j v_j^2 s_ij s_lj (x_i.x_l + 1) + sum_j act_ij act_lj]
     and <g_i, theta> = y_i sum_j v_j (s_ij pre_ij + act_ij); for strict 0/1
     subgradients s_ij pre_ij == act_ij, so rhs is exactly y * 2 act @ v.
+    ``act_gram`` = act act^T and ``act_v`` = act v do not depend on s_sigma.
     """
-    gram_g = ((s_sigma * (v * v)) @ s_sigma.T) * inner_x + s_act @ s_act.T
+    gram_g = ((s_sigma * (v * v)) @ s_sigma.T) * inner_x + act_gram
     gram = gram_g * np.outer(s_y, s_y)
-    rhs = s_y * ((s_sigma * s_pre) @ v + s_act @ v)
+    rhs = s_y * ((s_sigma * s_pre) @ v + act_v)
     return gram, rhs
 
 
@@ -240,8 +241,9 @@ def estimate_lambdas(
     s_y = ys[idx]
     v = net.out_weights
     inner_x = s_x @ s_x.T + 1.0
+    fixed = inner_x, s_act @ s_act.T, s_act @ v  # the same for every subgradient pass
 
-    gram, rhs = _dual_normal(s_y, s_sigma, s_pre, s_act, v, inner_x)
+    gram, rhs = _dual_normal(s_y, s_sigma, s_pre, v, *fixed)
     lam = nnls_normal(gram, rhs)
 
     theta = net.parameter_vector()
@@ -266,7 +268,7 @@ def estimate_lambdas(
             method = "direct+kink-refinement"
 
             def solve(s_sig, start):
-                lam_s = nnls_normal(*_dual_normal(s_y, s_sig, s_pre, s_act, v, inner_x), start)
+                lam_s = nnls_normal(*_dual_normal(s_y, s_sig, s_pre, v, *fixed), start)
                 return lam_s, _span_residual(span, s_sig, s_act, lam_s * s_y, v)
 
             lam, residual = _refine_kink_subgradients(

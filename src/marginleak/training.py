@@ -61,9 +61,10 @@ class TrainConfig:
             raise ValueError(f"loss_kind must be one of {LOSS_KINDS}")
         if self.width < 1 or self.max_steps < 1 or self.checkpoint_every < 1:
             raise ValueError("width, max_steps and checkpoint_every must be >= 1")
-        for name in ("init_scale", "learning_rate", "loss_target", "kkt_residual_target"):
-            if not getattr(self, name) > 0:  # NaN fails too
-                raise ValueError(f"{name} must be positive")
+        for name in ("init_scale", "learning_rate", "lr_growth", "loss_target",
+                     "kkt_residual_target"):
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite")
         if not self.lr_growth >= 1.0:
             raise ValueError("lr_growth must be >= 1")
         if self.rng_seed < 0:
@@ -97,9 +98,12 @@ TRACE_CSV_COLUMNS = tuple(f.name for f in fields(TraceRecord))
 class TrainTrace:
     """Checkpoint records plus run-level outcome flags.
 
-    ``stop_reason`` is ``targets-met``, ``max-steps``, ``zero-gradient``
-    (both gradient blocks exactly zero at a checkpoint: no later step could
-    move the parameters) or ``diverged`` (on a TrainingDivergedError's trace).
+    ``reached_loss_below_1_over_n`` is set, and ``first_step_below_1_over_n``
+    recorded, at the first step whose mean loss is below 1/n with every point
+    classified (y * output > 0): the run has fit the data.  ``stop_reason``
+    is ``targets-met``, ``max-steps``, ``zero-gradient`` (both gradient
+    blocks exactly zero at a checkpoint: no later step could move the
+    parameters) or ``diverged`` (on a TrainingDivergedError's trace).
     """
 
     records: list[TraceRecord] = field(default_factory=list)
@@ -195,14 +199,16 @@ def train(data: LabeledDataset, cfg: TrainConfig) -> tuple[NetworkParams, TrainT
 
     While the loss is at least 1/n the step size stays at its configured
     value and descent is ordinary full-batch gradient descent.  Below 1/n
-    every point is classified and the gradient shrinks like exp(-margin), so
-    a fixed step size would stall; from there each step that did not increase
-    the loss multiplies the step size by ``lr_growth`` (stopping once the
-    loss falls below LR_GROWTH_FREEZE_LOSS) and each step that increased it
-    halves it, which keeps the margin growing at roughly log(lr_growth) per
-    step.  In both phases a step that would overflow the loss or an output
-    is refused (halving the step size, without a warning) but still counts
-    against ``max_steps``.  A run whose gradient is exactly zero at a
+    each point's loss is below 1, which for the exponential loss means every
+    point is classified (the logistic loss allows y * output down to about
+    -0.54), and the gradient shrinks like exp(-margin), so a fixed step size
+    would stall; from there each step that did not increase the loss
+    multiplies the step size by ``lr_growth`` (stopping once the loss falls
+    below LR_GROWTH_FREEZE_LOSS) and each step that increased it halves it,
+    which keeps the margin growing at roughly log(lr_growth) per step.  In
+    both phases a step that would overflow the loss or an output is refused
+    (halving the step size, without a warning) but still counts against
+    ``max_steps``.  A run whose gradient is exactly zero at a
     checkpoint stops there (``zero-gradient``), returning the parameters a
     full-length run would.  The trace's final record always describes the
     returned parameters.  Raises :class:`TrainingDivergedError` if the
@@ -246,7 +252,7 @@ def train(data: LabeledDataset, cfg: TrainConfig) -> tuple[NetworkParams, TrainT
 
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(cfg.max_steps + 1):
-            if loss_now < 1.0 / n and not trace.reached_loss_below_1_over_n:
+            if not trace.reached_loss_below_1_over_n and loss_now < 1.0 / n and z.min() > 0.0:
                 trace.reached_loss_below_1_over_n = True
                 trace.first_step_below_1_over_n = step
 
@@ -314,8 +320,9 @@ def train_non_degenerate(
     start or after a few steps; the output is then zero and the run stops at
     ``zero-gradient``.  Only such a run is re-seeded (MAX_RESEEDS times at
     most): a new init cannot help a live run that did not fit.  Raises
-    :class:`DegenerateNetworkError` unless the returned run got its loss
-    below 1/n with a nonzero output.  Returns (net, trace, retries_used).
+    :class:`DegenerateNetworkError` unless the returned run fit the data
+    (``reached_loss_below_1_over_n``) with a nonzero output.  Returns (net,
+    trace, retries_used).
     """
     for attempt in range(MAX_RESEEDS + 1):
         net, trace = train(data, replace(cfg, rng_seed=cfg.rng_seed + 1_000_003 * attempt))

@@ -1,6 +1,6 @@
 import csv
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import hypothesis
@@ -15,7 +15,6 @@ from marginleak.experiment import (
     config_from_file,
     margin_fractions,
     match_candidates,
-    parse_flat_config,
     write_margin_plot_csv,
     write_margin_results_csv,
 )
@@ -154,6 +153,15 @@ class TestReconstructionPipeline:
         with pytest.raises(ml.DegenerateNetworkError, match="max-steps"):
             ml.run_reconstruction_pipeline(replace(cfg, recon_require_convergence=True), 0)
 
+    def test_config_takes_integer_dims_and_seeds(self):
+        train = ml.TrainConfig(width=4)
+        cfg = ml.ExperimentConfig(dims=np.array([2, 3]), seeds=[np.int64(1)], train=train)
+        assert (cfg.dims, cfg.seeds) == ((2, 3), (1,))
+        assert type(cfg.seeds[0]) is int
+        for dims, seeds in (((2.5,), (0,)), ((2.0,), (0,)), ((2,), (0.5,))):
+            with pytest.raises(ValueError, match="integers"):
+                ml.ExperimentConfig(dims=dims, seeds=seeds, train=train)
+
     def test_requires_univariate_config(self):
         train = ml.TrainConfig(width=4, max_steps=10)
         cfg = ml.ExperimentConfig(dims=(2,), seeds=(0,), train=train, n_train=2, n_test=2)
@@ -161,42 +169,162 @@ class TestReconstructionPipeline:
             ml.run_reconstruction_pipeline(cfg, 0)
 
 
+# One valid TOML value for each config key, and the field value it gives.
+CONFIG_KEY_SAMPLES = {
+    "dims": ("[2, 3]", (2, 3)),
+    "seeds": ("[4, 0]", (4, 0)),
+    "width": ("8", 8),
+    "loss_kind": ('"logistic"', "logistic"),
+    "init_scale": ("1", 1.0),
+    "learning_rate": ("0.5", 0.5),
+    "lr_growth": ("1.5", 1.5),
+    "max_steps": ("7", 7),
+    "loss_target": ("1e-3", 1e-3),
+    "kkt_residual_target": ("0.25", 0.25),
+    "checkpoint_every": ("3", 3),
+    "n_train": ("5", 5),
+    "n_test": ("6", 6),
+    "margin_slack": ("0.2", 0.2),
+    "mixture_mean_coord": ("-2", -2.0),
+    "recon_data_scheme": ('"two-clusters"', "two-clusters"),
+    "recon_require_convergence": ("true", True),
+    "out_dir": ('"results/x"', Path("results/x")),
+}
+
+MINIMAL_CONFIG = "dims = [2]\nseeds = [0]\nwidth = 8\n"
+
+# Config files that are not TOML, give a key a value of the wrong type, or
+# give a value out of range.
+BAD_CONFIGS = {
+    "flat-list": "dims = 2, 3\nseeds = [0]\nwidth = 8\n",
+    "bare-string": MINIMAL_CONFIG + "loss_kind = exponential\n",
+    "duplicate-key": MINIMAL_CONFIG + "width = 4\n",
+    "not-utf8": b"dims = [2]\nseeds = [0]\nwidth = \xff\n",
+    "unknown-key": MINIMAL_CONFIG + "wibble = 3\n",
+    "rng_seed-key": MINIMAL_CONFIG + "rng_seed = 3\n",
+    "train-table": MINIMAL_CONFIG + "[train]\nwidth = 3\n",
+    "float-width": "dims = [2]\nseeds = [0]\nwidth = 2.5\n",
+    "bool-width": "dims = [2]\nseeds = [0]\nwidth = true\n",
+    "float-dims": "dims = [2.5]\nseeds = [0]\nwidth = 8\n",
+    "bool-seeds": "dims = [2]\nseeds = [true]\nwidth = 8\n",
+    "scalar-seeds": "dims = [2]\nseeds = -1\nwidth = 8\n",
+    "string-slack": MINIMAL_CONFIG + 'margin_slack = "0.1"\n',
+    "int-loss-kind": MINIMAL_CONFIG + "loss_kind = 3\n",
+    "string-bool": MINIMAL_CONFIG + 'recon_require_convergence = "true"\n',
+    "int-out-dir": MINIMAL_CONFIG + "out_dir = 1\n",
+    "missing-width": "dims = [2]\nseeds = [0]\n",
+    "negative-seed": "dims = [2]\nseeds = [0, -1]\nwidth = 8\n",
+    "zero-dim": "dims = [0]\nseeds = [0]\nwidth = 8\n",
+    "empty-seeds": "dims = [2]\nseeds = []\nwidth = 8\n",
+    "nan-mean-coord": MINIMAL_CONFIG + "mixture_mean_coord = nan\n",
+    "inf-mean-coord": MINIMAL_CONFIG + "mixture_mean_coord = -inf\n",
+    "inf-init-scale": MINIMAL_CONFIG + "init_scale = inf\n",
+    "nan-learning-rate": MINIMAL_CONFIG + "learning_rate = nan\n",
+    "inf-lr-growth": MINIMAL_CONFIG + "lr_growth = inf\n",
+    "zero-loss-target": MINIMAL_CONFIG + "loss_target = 0\n",
+    "unknown-scheme": MINIMAL_CONFIG + 'recon_data_scheme = "spiral"\n',
+}
+
+
+def write_config(path, text):
+    (path.write_bytes if isinstance(text, bytes) else path.write_text)(text)
+    return path
+
+
 class TestFlatConfig:
-    def test_parse_types(self):
-        text = """
+    """Experiment configs: TOML documents of top-level keys only."""
+
+    def test_parse_types(self, tmp_path):
+        path = write_config(tmp_path / "c.toml", """
         # comment
         dims = [5, 20]
-        seeds = 0, 1, 2
+        seeds = [0, 1, 2]
         width = 8
         margin_slack = 0.2
-        loss_kind = logistic
-        """
-        values = parse_flat_config(text)
-        assert values["dims"] == (5, 20)
-        assert values["seeds"] == (0, 1, 2)
-        assert values["width"] == 8
-        assert values["margin_slack"] == 0.2
-        assert values["loss_kind"] == "logistic"
+        init_scale = 1
+        loss_kind = "logistic"
+        recon_require_convergence = false
+        out_dir = "out"
+        """)
+        cfg = config_from_file(path)
+        assert (cfg.dims, cfg.seeds, cfg.train.width) == ((5, 20), (0, 1, 2), 8)
+        assert cfg.margin_slack == 0.2
+        assert cfg.train.loss_kind == "logistic"
+        assert cfg.recon_require_convergence is False
+        assert cfg.out_dir == Path("out")
+        # An integer in a float field becomes a float, as the old reader made it.
+        assert "init_scale=1.0," in repr(cfg.train)
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ml.FileFormatError):
-            parse_flat_config("wibble = 3")
+    def test_unknown_key_rejected(self, tmp_path):
+        path = write_config(tmp_path / "c.toml", MINIMAL_CONFIG + "wibble = 3\n")
+        with pytest.raises(ml.FileFormatError, match="wibble"):
+            config_from_file(path)
+
+    def test_every_config_field_is_a_key(self, tmp_path):
+        train_keys = {f.name for f in fields(ml.TrainConfig)} - {"rng_seed"}
+        exp_keys = {f.name for f in fields(ml.ExperimentConfig)} - {"train"}
+        assert set(CONFIG_KEY_SAMPLES) == train_keys | exp_keys
+        assert len(CONFIG_KEY_SAMPLES) == 18
+        path = write_config(tmp_path / "c.toml", "".join(
+            f"{key} = {text}\n" for key, (text, _) in CONFIG_KEY_SAMPLES.items()))
+        cfg = config_from_file(path)
+        for key, (_, want) in CONFIG_KEY_SAMPLES.items():
+            got = getattr(cfg.train if key in train_keys else cfg, key)
+            assert (got, type(got)) == (want, type(want)), key
+        for key in ("rng_seed", "train"):
+            write_config(path, MINIMAL_CONFIG + f"{key} = 3\n")
+            with pytest.raises(ml.FileFormatError, match=f"unknown config key '{key}'"):
+                config_from_file(path)
 
     def test_every_shipped_config_loads(self):
+        import tomllib
+
         paths = sorted(p for p in CONFIG_DIR.rglob("*") if p.is_file())
         assert paths
         for path in paths:
+            tomllib.loads(path.read_text())
             assert isinstance(config_from_file(path), ml.ExperimentConfig), path
 
-    def test_duplicate_key_rejected(self):
+    def test_desk_configs(self):
+        margin = ml.ExperimentConfig(
+            dims=(5, 20, 100, 500), seeds=tuple(range(10)),
+            train=ml.TrainConfig(width=1000, loss_kind="exponential", init_scale=1e-2,
+                                 learning_rate=1e-2, lr_growth=1.02, max_steps=2500,
+                                 loss_target=1e-8, kkt_residual_target=5e-3,
+                                 checkpoint_every=100),
+            n_train=20, n_test=1000, margin_slack=0.1, mixture_mean_coord=1.0,
+        )
+        recon = ml.ExperimentConfig(
+            dims=(1,), seeds=tuple(range(25)),
+            train=ml.TrainConfig(width=64, loss_kind="exponential", init_scale=1e-4,
+                                 learning_rate=5e-2, lr_growth=1.02, max_steps=30000,
+                                 loss_target=1e-9, kkt_residual_target=1e-3,
+                                 checkpoint_every=2000),
+            n_train=6, n_test=10, recon_data_scheme="two-clusters",
+            recon_require_convergence=True,
+        )
+        assert config_from_file(CONFIG_DIR / "margin_desk.toml") == margin
+        assert config_from_file(CONFIG_DIR / "recon_desk.toml", overrides={"dims": (1,)}) == recon
+
+    def test_duplicate_key_rejected(self, tmp_path):
+        path = write_config(tmp_path / "c.toml", BAD_CONFIGS["duplicate-key"])
         with pytest.raises(ml.FileFormatError):
-            parse_flat_config("width = 3\nwidth = 4")
+            config_from_file(path)
+
+    def test_override_applies_after_the_type_check(self, tmp_path):
+        path = write_config(tmp_path / "c.toml", "dims = [3]\nseeds = [0]\nwidth = 8\n")
+        assert config_from_file(path, overrides={"dims": (1,)}).dims == (1,)
+        write_config(path, "seeds = [0]\nwidth = 8\n")
+        assert config_from_file(path, overrides={"dims": (1,)}).dims == (1,)
+        write_config(path, BAD_CONFIGS["float-dims"])
+        with pytest.raises(ml.FileFormatError, match="dims"):
+            config_from_file(path, overrides={"dims": (1,)})
 
     def test_config_file_to_experiment(self, tmp_path):
-        path = tmp_path / "c.toml"
-        path.write_text(
-            "dims = 2, 3\nseeds = 0\nwidth = 8\nn_train = 4\nn_test = 6\n"
-            "max_steps = 50\nloss_kind = exponential\n"
+        path = write_config(
+            tmp_path / "c.toml",
+            "dims = [2, 3]\nseeds = [0]\nwidth = 8\nn_train = 4\nn_test = 6\n"
+            'max_steps = 50\nloss_kind = "exponential"\n'
         )
         cfg = config_from_file(path)
         assert cfg.dims == (2, 3)
@@ -204,10 +332,23 @@ class TestFlatConfig:
         assert cfg.train.max_steps == 50
 
     def test_missing_required_keys(self, tmp_path):
-        path = tmp_path / "c.toml"
-        path.write_text("dims = 2\nseeds = 0\n")
-        with pytest.raises(ml.FileFormatError):
+        path = write_config(tmp_path / "c.toml", "dims = [2]\nseeds = [0]\n")
+        with pytest.raises(ml.FileFormatError, match="width"):
             config_from_file(path)
+        write_config(path, "width = 8\n")
+        with pytest.raises(ml.FileFormatError, match="dims, seeds"):
+            config_from_file(path)
+
+    @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+    def test_bad_config_exits_2(self, tmp_path, capsys, case):
+        # main returns (no exception escapes, so no traceback) with one error line.
+        path = write_config(tmp_path / "c.toml", BAD_CONFIGS[case])
+        code = main(["experiment", "margin", "--config", str(path),
+                     "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestCli:
@@ -287,7 +428,7 @@ class TestCli:
     def test_experiment_margin_from_config(self, tmp_path, capsys):
         config = tmp_path / "c.toml"
         config.write_text(
-            "dims = 2, 3\nseeds = 0, 1\nwidth = 32\nn_train = 4\nn_test = 6\n"
+            "dims = [2, 3]\nseeds = [0, 1]\nwidth = 32\nn_train = 4\nn_test = 6\n"
             "max_steps = 2000\ninit_scale = 1e-2\nlearning_rate = 5e-2\n"
             "loss_target = 1e-3\nkkt_residual_target = 0.9\n"
         )
@@ -303,10 +444,10 @@ class TestCli:
     def test_experiment_reconstruct_from_config(self, tmp_path):
         config = tmp_path / "c.toml"
         config.write_text(
-            "dims = 1\nseeds = 0, 1\nwidth = 16\nn_train = 2\nn_test = 2\n"
+            "dims = [1]\nseeds = [0, 1]\nwidth = 16\nn_train = 2\nn_test = 2\n"
             "max_steps = 3000\ninit_scale = 1e-2\nlearning_rate = 5e-2\n"
             "loss_target = 1e-5\nkkt_residual_target = 0.5\n"
-            "recon_data_scheme = two-clusters\n"
+            'recon_data_scheme = "two-clusters"\n'
         )
         out = tmp_path / "recon"
         code = main(["experiment", "reconstruct", "--config", str(config), "--out-dir", str(out)])
@@ -372,6 +513,7 @@ class TestCli:
         ["train", "--learning-rate", "-1"],
         ["train", "--learning-rate", "nan"],
         ["train", "--lr-growth", "nan"],
+        ["train", "--init-scale", "inf"],
         ["train", "--data", "label-only.csv"],
     ], ids=lambda argv: "_".join([argv[0], argv[-2].lstrip("-"), argv[-1]]))
     def test_bad_margin_or_threshold_exits_2(self, tmp_path, monkeypatch, capsys, argv):

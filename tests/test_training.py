@@ -168,6 +168,11 @@ class TestTrainConfig:
             ml.TrainConfig(width=4, loss_kind="hinge")
         with pytest.raises(ValueError):
             ml.TrainConfig(width=4, loss_target=0.0)
+        for name in ("init_scale", "learning_rate", "lr_growth", "loss_target",
+                     "kkt_residual_target"):
+            for bad in (math.inf, math.nan):
+                with pytest.raises(ValueError, match=name):
+                    ml.TrainConfig(width=4, **{name: bad})
 
 
 class TestTrain:
@@ -252,6 +257,18 @@ class TestTrain:
         # run subtracts lr * 0 and leaves the init as it is.
         assert not ml.gradient(net, data).flat().any()
         assert same_params(net, ml.init_small(1, 1, cfg.init_scale, 0))
+
+    def test_logistic_fit_flag_needs_every_point_classified(self):
+        # The dead run above with the logistic loss: its loss stays at
+        # log 2 < 1/n = 1, but its output on the one point is 0.
+        data = dataset([[0.7]], [1])
+        cfg = ml.TrainConfig(width=1, loss_kind="logistic", max_steps=100, rng_seed=0,
+                             checkpoint_every=50)
+        _, trace = ml.train(data, cfg)
+        assert (trace.stop_reason, trace.final().loss) == ("zero-gradient", math.log(2.0))
+        assert trace.final().min_margin == 0.0
+        assert not trace.reached_loss_below_1_over_n
+        assert trace.first_step_below_1_over_n is None
 
     def test_neuron_dying_mid_run_stops_at_the_next_checkpoint(self):
         data, cfg = warmup_seed8_attempt4()

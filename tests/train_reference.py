@@ -71,7 +71,7 @@ def reference_train(
         if not np.isfinite(loss_now):
             trace.stop_reason = "diverged"
             raise TrainingDivergedError(f"loss became non-finite at step {step}", trace)
-        if loss_now < 1.0 / n and not trace.reached_loss_below_1_over_n:
+        if loss_now < 1.0 / n and np.all(z > 0.0) and not trace.reached_loss_below_1_over_n:
             trace.reached_loss_below_1_over_n = True
             trace.first_step_below_1_over_n = step
 
