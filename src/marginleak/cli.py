@@ -38,7 +38,10 @@ OUT_DIR_ENV = "MARGINLEAK_OUT_DIR"
 def _out_dir(given) -> Path:
     """``given``, else $MARGINLEAK_OUT_DIR, else ".", created if missing."""
     path = Path(given or os.environ.get(OUT_DIR_ENV) or ".")
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise FileFormatError(f"output directory {path} is not a directory") from exc
     return path
 
 

@@ -35,10 +35,9 @@ ARGMIN_REL_SLACK = 1e-9
 KINK_REL_TOL = 1e-4
 _REFINE_MAX_PASSES = 20
 
-# Above this support size times parameter count the residual is taken from the
-# quadratic form ||theta||^2 - 2 lambda.rhs + lambda.gram.lambda, without kink
-# refinement (adequate for the loose tolerances used on trained networks);
-# below it, the residual is formed directly and kinks are refined.
+# Only picks the residual method; neither forms anything (k, d)-wide.  Above
+# this support size times parameter count: the quadratic form, unrefined, so it
+# reads higher than a refined one; below it: the direct form, kinks refined.
 _MATERIALIZE_LIMIT = 4_000_000
 
 
@@ -78,12 +77,12 @@ class KktReport:
     stationarity_residual: float
     sigma_primes: np.ndarray  # (n, k) in {0, 1}
     diagnostics: DiagnosticBounds | None = None
-    # "direct" forms theta - sum lambda_i y_i g_i split at the support span;
-    # "direct+kink-refinement" also refined the subgradients at kinks and
-    # reports the smallest residual over its passes; "quadratic-form"
-    # expands the square through the Gram matrix (large networks, no
-    # refinement);
-    # "empty-support": no point near the margin, residual reported as 1.
+    # "direct" forms theta - sum lambda_i y_i g_i split at the span of the
+    # rows [x_i, 1]; "direct+kink-refinement" also refined the subgradients
+    # at kinks and reports the smallest residual over its passes;
+    # "quadratic-form" expands the square through the Gram matrix (large
+    # networks, no refinement); "empty-support": no point near the margin,
+    # residual reported as 1.
     residual_method: str = "direct"
 
 
@@ -124,9 +123,9 @@ def _span_residual(span, s_sigma: np.ndarray, s_act: np.ndarray, c: np.ndarray,
     """||theta - sum_i c_i grad Phi(x_i)|| / ||theta|| with c = lambda * y.
 
     ``span`` = (coord, xq, perp_sq, theta_norm), with Q an orthonormal basis of
-    the span of the rows x~_t of X~_S: coord = [W, b] Q, xq = X~_S Q, perp_sq =
-    ||[W, b] - coord Q^T||^2.  Each sum lies in the span, so by Pythagoras the
-    residual is split there into two direct differences, in O(k s) work.
+    a span holding the rows x~_t of X~_S: coord = [W, b] Q, xq = X~_S Q, perp_sq
+    = ||[W, b] - coord Q^T||^2.  Each sum lies in the span, so by Pythagoras
+    the residual is split there into two direct differences of (k, rank Q).
     """
     coord, xq, perp_sq, theta_norm = span
     r_span = coord - ((s_sigma * c[:, None]).T @ xq) * v[:, None]
@@ -204,6 +203,16 @@ def _refine_kink_subgradients(
     return best
 
 
+def _row_span(xs: np.ndarray, weights: np.ndarray, biases: np.ndarray):
+    """(coord, xq, perp_sq) of :func:`estimate_from_row_space` for [W, b]."""
+    xt = np.column_stack([xs, np.ones(xs.shape[0])])
+    q = np.linalg.qr(xt.T)[0]
+    wb = np.column_stack([weights, biases])
+    coord = wb @ q
+    perp = np.subtract(wb, coord @ q.T, out=wb) if q.shape[1] <= xs.shape[1] else wb[:0]
+    return coord, xt @ q, float(np.vdot(perp, perp))
+
+
 def estimate_lambdas(
     net: NetworkParams, data: LabeledDataset, support_slack: float = DEFAULT_SUPPORT_SLACK
 ) -> KktReport:
@@ -220,56 +229,64 @@ def estimate_lambdas(
     :class:`KktReport`).  Raises ValueError unless ``support_slack`` is
     nonnegative and finite.
     """
+    xs, v = data.points, net.out_weights
+    pre, act, out = _forward_arrays(xs @ net.weights.T, net.biases, v)
+    coord, xq, perp_sq = _row_span(xs, net.weights, net.biases)
+    span = coord, xq, perp_sq, math.sqrt(perp_sq + float(np.vdot(coord, coord)) + float(v @ v))
+    return estimate_from_row_space(data, pre, act, data.labels * out, v, span, support_slack)
+
+
+def estimate_from_row_space(data: LabeledDataset, pre, act, z, v, span: tuple,
+                            support_slack: float = DEFAULT_SUPPORT_SLACK,
+                            start: np.ndarray | None = None) -> KktReport:
+    """:func:`estimate_lambdas` from a row-space view of (net, data); nothing (k, d)-wide.
+
+    ``pre``, ``act``: the (n, k) pre-activations and activations; ``z`` = y *
+    output; ``span`` = (coord, xq, perp_sq, ||theta||) with coord = [W, b] Q,
+    xq = X~ Q, perp_sq = ||[W, b] - coord Q^T||^2 for an orthonormal basis Q of
+    span{x~_i = [x_i, 1]} over all n points.  ``start``, a bool mask over the
+    points (earlier positive duals), warm-starts the first NNLS.
+    """
     if not 0.0 <= support_slack < math.inf:
         raise ValueError(f"support_slack must be nonnegative and finite: {support_slack!r}")
-    xs, ys = data.points, data.labels
-    pre, act, out = _forward_arrays(xs @ net.weights.T, net.biases, net.out_weights)
     sigma = (pre > 0.0)
-    _, m = _abs_and_margin(out)
+    _, m = _abs_and_margin(z)
 
-    support = np.abs(ys * out - m) <= support_slack * m
+    support = np.abs(z - m) <= support_slack * m
     sigma_int = sigma.astype(np.int8)
     lambdas = np.zeros(data.size)
     if not support.any():
         return KktReport(m, (), lambdas, 1.0, sigma_int, residual_method="empty-support")
 
     idx = np.nonzero(support)[0]
-    s_x = xs[idx]
+    s_x = data.points[idx]
     s_sigma = sigma[idx].astype(float)
     s_pre = pre[idx]
     s_act = act[idx]
-    s_y = ys[idx]
-    v = net.out_weights
+    s_y = data.labels[idx]
     inner_x = s_x @ s_x.T + 1.0
     fixed = inner_x, s_act @ s_act.T, s_act @ v  # the same for every subgradient pass
 
     gram, rhs = _dual_normal(s_y, s_sigma, s_pre, v, *fixed)
-    lam = nnls_normal(gram, rhs)
+    lam = nnls_normal(gram, rhs, None if start is None else start[idx])
 
-    theta = net.parameter_vector()
-    theta_norm = float(np.linalg.norm(theta))
-    if idx.size * theta.size > _MATERIALIZE_LIMIT:
+    coord, xq, perp_sq, theta_norm = span
+    if idx.size * v.size * (data.dim + 2) > _MATERIALIZE_LIMIT:
         method = "quadratic-form"
         res_sq = theta_norm**2 - 2.0 * lam @ rhs + lam @ gram @ lam
         residual = math.sqrt(max(res_sq, 0.0)) / theta_norm
     else:
         method = "direct"
-        # The (d+1)-wide work, once.  With s >= d+1 points Q spans all: no perp.
-        s_xt = np.column_stack([s_x, np.ones(idx.size)])
-        q = np.linalg.qr(s_xt.T)[0]
-        wb = np.column_stack([net.weights, net.biases])
-        coord = wb @ q
-        perp = np.subtract(wb, coord @ q.T, out=wb) if q.shape[1] <= net.input_dim else wb[:0]
-        span = coord, s_xt @ q, float(np.vdot(perp, perp)), theta_norm
-        residual = _span_residual(span, s_sigma, s_act, lam * s_y, v)
+        s_span = coord, xq[idx], perp_sq, theta_norm
+        residual = _span_residual(s_span, s_sigma, s_act, lam * s_y, v)
         kink_scale = np.maximum(np.max(np.abs(pre), axis=0), np.finfo(float).tiny)
         kink = np.abs(s_pre) <= KINK_REL_TOL * kink_scale
         if kink.any():
             method = "direct+kink-refinement"
 
-            def solve(s_sig, start):
-                lam_s = nnls_normal(*_dual_normal(s_y, s_sig, s_pre, v, *fixed), start)
-                return lam_s, _span_residual(span, s_sig, s_act, lam_s * s_y, v)
+            def solve(s_sig, passive):
+                lam_s = nnls_normal(*_dual_normal(s_y, s_sig, s_pre, v, *fixed), passive)
+                return lam_s, _span_residual(s_span, s_sig, s_act, lam_s * s_y, v)
 
             lam, residual = _refine_kink_subgradients(
                 v, s_pre, s_y, inner_x, kink, solve, lam, residual

@@ -99,21 +99,6 @@ class NetworkParams:
             self.weights * factor, self.biases * factor, self.out_weights * factor
         )
 
-    def parameter_vector(self) -> np.ndarray:
-        """Flatten to a single vector, ordered (weights, biases, out_weights)."""
-        return np.concatenate([self.weights.ravel(), self.biases, self.out_weights])
-
-
-def params_from_vector(vec: np.ndarray, input_dim: int, width: int) -> NetworkParams:
-    """Inverse of :meth:`NetworkParams.parameter_vector`."""
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape != (width * (input_dim + 2),):
-        raise ValueError(f"expected length {width * (input_dim + 2)}, got {vec.shape}")
-    w = vec[: width * input_dim].reshape(width, input_dim)
-    b = vec[width * input_dim : width * (input_dim + 1)]
-    v = vec[width * (input_dim + 1) :]
-    return NetworkParams(w, b, v)
-
 
 @dataclass(frozen=True)
 class LabeledDataset:
@@ -264,13 +249,6 @@ class PiecewiseLinear:
         left = -np.inf if i == 0 else float(self.breakpoints[i - 1])
         right = np.inf if i == self.n_segments - 1 else float(self.breakpoints[i])
         return left, right
-
-    def value(self, x):
-        """Evaluate at scalar or array ``x``."""
-        x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self.breakpoints, x, side="right")
-        out = self.slopes[idx] * x + self.intercepts[idx]
-        return float(out) if out.ndim == 0 else out
 
 
 def _merge_locations(locs: np.ndarray) -> np.ndarray:

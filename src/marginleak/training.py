@@ -151,9 +151,6 @@ class Gradient:
     biases: np.ndarray
     out_weights: np.ndarray
 
-    def flat(self) -> np.ndarray:
-        return np.concatenate([self.weights.ravel(), self.biases, self.out_weights])
-
 
 def _gradient_arrays(ys, act, z, v, kind: str, per=None, out=None):
     """(G, d/dv) of the mean loss from a forward pass, G written into ``out``.
@@ -225,10 +222,13 @@ def train(data: LabeledDataset, cfg: TrainConfig) -> tuple[NetworkParams, TrainT
     # of x~: W = W0 + C.T @ xs and b = b0 + C.sum(axis=0) for C of shape
     # (n, k), and the pre-activations are base + gram @ C.  The state and
     # the proposed step each own a (C, pre, act) buffer set, swapped when a
-    # step is accepted; W and b are formed only at checkpoints.
+    # step is accepted.  Checkpoints see [W, b] only in the basis of
+    # kkt._row_span, as coord0 + C.T @ xq; W and b are formed only at the end.
     n = data.size
     base = xs @ w0.T + b0
     gram = xs @ xs.T + 1.0
+    coord0, xq, perp_sq = kkt._row_span(xs, w0, b0)
+    start = None  # the positive duals of the last estimate
     state = [np.zeros((n, cfg.width)) for _ in range(3)]
     trial = [np.empty((n, cfg.width)) for _ in range(3)]
     g = np.empty((n, cfg.width))
@@ -243,7 +243,7 @@ def train(data: LabeledDataset, cfg: TrainConfig) -> tuple[NetworkParams, TrainT
         per_ = loss_values(z_, cfg.loss_kind)
         return z_, per_, float(per_.sum()) / n
 
-    c, _, act = state
+    c, pre, act = state
     z, per, loss_now = forward(*state, v)
     if not np.isfinite(loss_now):
         trace.stop_reason = "diverged"
@@ -260,17 +260,19 @@ def train(data: LabeledDataset, cfg: TrainConfig) -> tuple[NetworkParams, TrainT
                 g_v = _gradient_arrays(ys, act, z, v, cfg.loss_kind, per, out=g)[1]
             last = step == cfg.max_steps
             if step % cfg.checkpoint_every == 0 or last:
-                w, b = w0 + c.T @ xs, b0 + c.sum(axis=0)
-                norm_sq = float(np.sum(w * w) + np.sum(b * b) + np.sum(v * v))
+                coord = coord0 + c.T @ xq
+                norm_sq = perp_sq + float(np.vdot(coord, coord)) + float(v @ v)
                 if not math.isfinite(norm_sq):
                     trace.stop_reason = "diverged"
                     raise TrainingDivergedError(f"parameters overflowed by step {step}", trace)
-                net_now = NetworkParams(w, b, v)
                 min_margin = float(np.min(z))
+                span = coord, xq, perp_sq, math.sqrt(norm_sq)
                 try:
                     with np.errstate(**caller_errstate):
-                        report = kkt.estimate_lambdas(net_now, data)
+                        report = kkt.estimate_from_row_space(data, pre, act, z, v, span,
+                                                             start=start)
                     residual, method = report.stationarity_residual, report.residual_method
+                    start = report.lambdas > 0.0
                 except DegenerateNetworkError:
                     residual, method = 1.0, "degenerate"
                 trace.records.append(TraceRecord(
@@ -278,14 +280,14 @@ def train(data: LabeledDataset, cfg: TrainConfig) -> tuple[NetworkParams, TrainT
                     residual, method, lr, refused))
                 if loss_now <= cfg.loss_target and residual <= cfg.kkt_residual_target:
                     trace.stop_reason = "targets-met"
-                    return net_now, trace
+                    break
                 # A zero step changes no state, so no later step would either.
                 if not (g.any() or g_v.any()):
                     trace.stop_reason = "zero-gradient"
-                    return net_now, trace
+                    break
                 if last:
                     trace.stop_reason = "max-steps"
-                    return net_now, trace
+                    break
 
             c_new = trial[0]
             np.subtract(c, np.multiply(g, lr, out=c_new), out=c_new)
@@ -299,7 +301,7 @@ def train(data: LabeledDataset, cfg: TrainConfig) -> tuple[NetworkParams, TrainT
             fitting = loss_now >= 1.0 / n
             decreased = loss_new <= loss_now
             state, trial = trial, state
-            c, _, act = state
+            c, pre, act = state
             v, z, per, loss_now = v_new, z_new, per_new, loss_new
             g_v = None
             if not fitting:
@@ -308,7 +310,7 @@ def train(data: LabeledDataset, cfg: TrainConfig) -> tuple[NetworkParams, TrainT
                 elif loss_now >= LR_GROWTH_FREEZE_LOSS:
                     lr *= cfg.lr_growth
 
-    raise AssertionError("unreachable")
+    return NetworkParams(w0 + c.T @ xs, b0 + c.sum(axis=0), v), trace
 
 
 def train_non_degenerate(

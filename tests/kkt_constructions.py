@@ -19,6 +19,19 @@ import numpy as np
 from marginleak import LabeledDataset, NetworkParams, forward_batch
 
 
+def parameter_vector(params) -> np.ndarray:
+    """The (weights, biases, out_weights) of a network or gradient, flattened."""
+    return np.concatenate([params.weights.ravel(), params.biases, params.out_weights])
+
+
+def params_from_vector(vec: np.ndarray, input_dim: int, width: int) -> NetworkParams:
+    """Inverse of :func:`parameter_vector`."""
+    vec = np.asarray(vec, dtype=float)
+    w = vec[: width * input_dim].reshape(width, input_dim)
+    b = vec[width * input_dim : width * (input_dim + 1)]
+    return NetworkParams(w, b, vec[width * (input_dim + 1) :])
+
+
 def output_gradient(net: NetworkParams, x: np.ndarray, kink_tol: np.ndarray | float = 0.0) -> np.ndarray:
     """grad_theta Phi(theta; x), active iff the pre-activation clears kink_tol.
 
@@ -39,7 +52,7 @@ def _kink_tolerances(net: NetworkParams, data: LabeledDataset) -> np.ndarray:
 
 def verify_stationarity(net: NetworkParams, data: LabeledDataset, lambdas: np.ndarray) -> float:
     """Relative gap ||theta - sum_i lambda_i y_i g_i|| / ||theta||."""
-    theta = net.parameter_vector()
+    theta = parameter_vector(net)
     tol = _kink_tolerances(net, data)
     combo = np.zeros_like(theta)
     for i in range(data.size):
@@ -241,7 +254,7 @@ def reference_estimate_lambdas(net: NetworkParams, data: LabeledDataset, support
     idx = np.nonzero(support)[0]
     s_x, s_y, s_act = xs[idx], ys[idx], act[idx]
     s_sigma = (pre[idx] > 0.0).astype(float)
-    theta = net.parameter_vector()
+    theta = parameter_vector(net)
     v = net.out_weights
     gram = ((s_sigma * (v * v)) @ s_sigma.T) * (s_x @ s_x.T + 1.0) + s_act @ s_act.T
     lam = nnls_normal(gram * np.outer(s_y, s_y), s_y * (2.0 * s_act @ v))

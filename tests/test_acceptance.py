@@ -27,7 +27,7 @@ import pytest
 
 import marginleak as ml
 from marginleak.experiment import _cell_seeds, _sample_labeled
-from kkt_constructions import construction_suite, verify_stationarity
+from kkt_constructions import construction_suite, parameter_vector, verify_stationarity
 
 MARGIN_DIMS = (5, 20, 100, 500)
 MARGIN_SEEDS = tuple(range(10))
@@ -247,7 +247,7 @@ def test_criterion_9_gradient_check():
         net = ml.NetworkParams(w, b, v)
         data = ml.LabeledDataset(xs, rng.choice([-1.0, 1.0], n))
         kind = ("exponential", "logistic")[checked % 2]
-        analytic = ml.gradient(net, data, kind).flat()
+        analytic = parameter_vector(ml.gradient(net, data, kind))
         fd = finite_difference_gradient(net, data, kind)
         scale = np.maximum(np.abs(fd), 1e-4)
         worst = max(worst, float(np.max(np.abs(analytic - fd) / scale)))

@@ -494,6 +494,21 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "envout" / "verdicts.csv").exists()
 
+    @pytest.mark.parametrize("command", ["sample-dataset", "experiment-margin"])
+    def test_out_dir_naming_a_file_exits_2(self, tmp_path, capsys, command):
+        afile = tmp_path / "afile"
+        afile.write_text("keep\n")
+        if command == "sample-dataset":
+            argv = ["sample-dataset", "--dim", "2", "--n", "4"]
+        else:
+            config = write_config(tmp_path / "c.toml", MINIMAL_CONFIG)
+            argv = ["experiment", "margin", "--config", str(config)]
+        code = main([*argv, "--out-dir", str(afile)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: output directory {afile} is not a directory\n"
+        assert afile.read_text() == "keep\n"
+
     @pytest.mark.parametrize("argv", [
         ["membership", "--rule", "known-margin", "--margin", "-1"],
         ["membership", "--rule", "known-margin", "--margin", "0"],

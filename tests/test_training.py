@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ import pytest
 import marginleak as ml
 from marginleak import training
 from marginleak.experiment import _cell_seeds, _sample_labeled, _uniform_1d_dataset
-from marginleak.model import params_from_vector
 from marginleak.training import (
     LR_GROWTH_FREEZE_LOSS,
     TRACE_CSV_COLUMNS,
@@ -16,6 +15,7 @@ from marginleak.training import (
     loss_values,
     train,
 )
+from kkt_constructions import parameter_vector, params_from_vector
 from train_reference import reference_train
 
 
@@ -107,14 +107,14 @@ class TestGradient:
                 continue
             net = ml.NetworkParams(w, b, v)
             data = dataset(xs, ys)
-            analytic = ml.gradient(net, data, kind).flat()
+            analytic = parameter_vector(ml.gradient(net, data, kind))
             fd = finite_difference_gradient(net, data, kind)
             np.testing.assert_allclose(analytic, fd, rtol=1e-5, atol=1e-9)
             checked += 1
 
 
 def finite_difference_gradient(net, data, kind, h=1e-5):
-    theta = net.parameter_vector()
+    theta = parameter_vector(net)
     grad = np.empty_like(theta)
     for i in range(theta.size):
         plus = theta.copy()
@@ -239,10 +239,14 @@ class TestTrain:
         assert steps == sorted(set(steps))
 
     def test_trace_records_residual_method(self, symmetric_pair_run):
+        # The trace estimates from training's row-space state, estimate_lambdas
+        # from the returned network: the method is the same, the residual the
+        # same up to summation order.
         data, _, net, trace = symmetric_pair_run
         report = ml.estimate_lambdas(net, data)
         assert trace.final().residual_method == report.residual_method
-        assert trace.final().kkt_residual == report.stationarity_residual
+        assert trace.final().kkt_residual == pytest.approx(report.stationarity_residual,
+                                                           rel=ROW_SPACE_RTOL, abs=0.0)
 
     def test_dead_init_trace_says_degenerate(self):
         # Seed 0 leaves the single neuron inactive on x = 0.7 for good, so
@@ -255,7 +259,7 @@ class TestTrain:
             (0, 1.0, "degenerate")]
         # Both gradient blocks are exactly zero, so each step of a full-length
         # run subtracts lr * 0 and leaves the init as it is.
-        assert not ml.gradient(net, data).flat().any()
+        assert not parameter_vector(ml.gradient(net, data)).any()
         assert same_params(net, ml.init_small(1, 1, cfg.init_scale, 0))
 
     def test_logistic_fit_flag_needs_every_point_classified(self):
@@ -395,6 +399,37 @@ class TestRowSpaceMatchesWeightSpace:
         ref_trace, _ = self.check(data, cfg)
         assert ref_trace.stop_reason == "zero-gradient"
 
+    def test_quadratic_form_at_every_checkpoint(self, monkeypatch):
+        # With the gate at 0 every support takes the quadratic form, whose
+        # ||theta||^2 training takes from its row-space view; at d=200 the
+        # init has a part outside the span of the 20 rows.
+        monkeypatch.setattr(ml.kkt, "_MATERIALIZE_LIMIT", 0)
+        data, kwargs = ROW_SPACE_CASES["n20-d200"]
+        cfg = ml.TrainConfig(**kwargs)
+        init = ml.init_small(data.dim, cfg.width, cfg.init_scale, cfg.rng_seed)
+        assert ml.kkt._row_span(data.points, init.weights, init.biases)[2] > 0.0
+        ref_trace, _ = self.check(data, cfg)
+        assert {r.residual_method for r in ref_trace.records[1:]} == {"quadratic-form"}
+
+    def test_warm_start_from_the_last_checkpoint_changes_no_bits(self, monkeypatch):
+        # Each checkpoint's first NNLS starts from the positive duals of the
+        # one before; starting it cold gives the same records bit for bit.
+        data, kwargs = ROW_SPACE_CASES["n20-d200"]
+        cfg = ml.TrainConfig(**kwargs)
+        estimate = ml.kkt.estimate_from_row_space
+        starts = []
+
+        def cold(*args, start=None, **kw):
+            starts.append(start)
+            return estimate(*args, **kw)
+
+        _, warm = ml.train(data, cfg)
+        monkeypatch.setattr(ml.kkt, "estimate_from_row_space", cold)
+        _, trace = ml.train(data, cfg)
+        assert sum(s is not None and s.any() for s in starts) >= 5
+        assert [repr(astuple(r)) for r in trace.records] == [
+            repr(astuple(r)) for r in warm.records]
+
     def test_refused_overflow_steps(self):
         # With a step size this large, two steps would overflow the
         # exponential loss; both are refused and the run still fits the data.
@@ -484,7 +519,7 @@ class TestExpEdge:
         coeff = float(_loss_derivative(np.array([z]), kind)[0]) * y
         assert g.biases[0] == coeff
         assert g.weights[0, 0] == g.out_weights[0] == coeff * abs(z)
-        assert not np.any(np.isnan(g.flat()))
+        assert not np.any(np.isnan(parameter_vector(g)))
 
     def test_shared_exp_gives_the_same_bits(self):
         rng = np.random.default_rng(0)
