@@ -191,10 +191,18 @@ def _refine_kink_subgradients(
         gram = np.outer(c, c) * inner_x
         rhs = c[:, None] * (target_x - inner_x @ (fixed_sigma * c[:, None]))
         for rows, which, members in stacks:
-            pinv = np.linalg.pinv(gram[rows[:, :, None], rows[:, None, :]],
-                                  rcond=np.finfo(float).eps * rows.shape[1], hermitian=True)
             kink_rows = rows[which]
-            sol = (pinv[which] @ rhs[kink_rows, members[:, None], None])[..., 0]
+            b = rhs[kink_rows, members[:, None]]
+            if rows.shape[1] == 1:
+                # A 1 x 1 Gram g >= 0 needs no decomposition: its pinv is 1/g,
+                # or 0 at g = 0.  + 0.0 keeps the bits of the pinv path, whose
+                # matmul adds the product to 0, so that -0 turns +0.
+                g = gram[kink_rows, kink_rows]
+                sol = np.divide(1.0, g, out=np.zeros_like(g), where=g > 0.0) * b + 0.0
+            else:
+                pinv = np.linalg.pinv(gram[rows[:, :, None], rows[:, None, :]],
+                                      rcond=np.finfo(float).eps * rows.shape[1], hermitian=True)
+                sol = (pinv[which] @ b[..., None])[..., 0]
             sigma_work[kink_rows, neurons[members, None]] = np.clip(sol, 0.0, 1.0)
         previous = residual
         lam, residual = solve(sigma_work, lam > 0.0)
@@ -231,20 +239,25 @@ def estimate_lambdas(
     """
     xs, v = data.points, net.out_weights
     pre, act, out = _forward_arrays(xs @ net.weights.T, net.biases, v)
-    coord, xq, perp_sq = _row_span(xs, net.weights, net.biases)
-    span = coord, xq, perp_sq, math.sqrt(perp_sq + float(np.vdot(coord, coord)) + float(v @ v))
-    return estimate_from_row_space(data, pre, act, data.labels * out, v, span, support_slack)
+
+    def support_span(idx):
+        coord, xq, perp_sq = _row_span(xs[idx], net.weights, net.biases)
+        return coord, xq, perp_sq, math.sqrt(perp_sq + float(np.vdot(coord, coord)) + float(v @ v))
+
+    return estimate_from_row_space(data, pre, act, data.labels * out, v, support_span,
+                                   support_slack)
 
 
-def estimate_from_row_space(data: LabeledDataset, pre, act, z, v, span: tuple,
+def estimate_from_row_space(data: LabeledDataset, pre, act, z, v, span,
                             support_slack: float = DEFAULT_SUPPORT_SLACK,
                             start: np.ndarray | None = None) -> KktReport:
     """:func:`estimate_lambdas` from a row-space view of (net, data); nothing (k, d)-wide.
 
     ``pre``, ``act``: the (n, k) pre-activations and activations; ``z`` = y *
-    output; ``span`` = (coord, xq, perp_sq, ||theta||) with coord = [W, b] Q,
-    xq = X~ Q, perp_sq = ||[W, b] - coord Q^T||^2 for an orthonormal basis Q of
-    span{x~_i = [x_i, 1]} over all n points.  ``start``, a bool mask over the
+    output; ``span(idx)``, called once with the support indices, returns
+    (coord, xq, perp_sq, ||theta||) with coord = [W, b] Q, xq = X~_idx Q,
+    perp_sq = ||[W, b] - coord Q^T||^2 for an orthonormal basis Q of a span
+    holding the support rows x~_t = [x_t, 1].  ``start``, a bool mask over the
     points (earlier positive duals), warm-starts the first NNLS.
     """
     if not 0.0 <= support_slack < math.inf:
@@ -270,14 +283,14 @@ def estimate_from_row_space(data: LabeledDataset, pre, act, z, v, span: tuple,
     gram, rhs = _dual_normal(s_y, s_sigma, s_pre, v, *fixed)
     lam = nnls_normal(gram, rhs, None if start is None else start[idx])
 
-    coord, xq, perp_sq, theta_norm = span
+    s_span = span(idx)
+    theta_norm = s_span[3]
     if idx.size * v.size * (data.dim + 2) > _MATERIALIZE_LIMIT:
         method = "quadratic-form"
         res_sq = theta_norm**2 - 2.0 * lam @ rhs + lam @ gram @ lam
         residual = math.sqrt(max(res_sq, 0.0)) / theta_norm
     else:
         method = "direct"
-        s_span = coord, xq[idx], perp_sq, theta_norm
         residual = _span_residual(s_span, s_sigma, s_act, lam * s_y, v)
         kink_scale = np.maximum(np.max(np.abs(pre), axis=0), np.finfo(float).tiny)
         kink = np.abs(s_pre) <= KINK_REL_TOL * kink_scale

@@ -150,10 +150,11 @@ def _forward_arrays(lin, offset, out_weights, act=None):
     # linear part xs @ weights.T; ``offset`` (the biases, or in training the
     # whole initial pre-activation) is added into it in place, and the
     # activations go to ``act`` when given.  No validation: the training
-    # loop calls this at every step.
+    # loop calls this at every step.  ``dot`` calls the BLAS routine that
+    # ``@`` calls, with less overhead per call: the same bits.
     pre = np.add(lin, offset, out=lin)
     act = np.maximum(pre, 0.0, out=act)
-    return pre, act, act @ out_weights
+    return pre, act, act.dot(out_weights)
 
 
 def forward_batch(net: NetworkParams, xs: np.ndarray) -> np.ndarray:

@@ -118,20 +118,25 @@ class TrainTrace:
         return self.records[-1]
 
 
-def loss_values(z: np.ndarray, kind: str) -> np.ndarray:
-    """Per-example loss at signed outputs z = y * network(x)."""
+def _losses(nz: np.ndarray, kind: str) -> np.ndarray:
+    """Per-example loss at nz = -z, under the caller's errstate."""
     if kind == "exponential":
-        with np.errstate(over="ignore"):
-            return np.exp(-z)
+        return np.exp(nz)
     if kind == "logistic":
-        return np.logaddexp(0.0, -z)
+        return np.logaddexp(0.0, nz)
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
-def _loss_derivative(z: np.ndarray, kind: str, per: np.ndarray | None = None) -> np.ndarray:
-    """d loss / dz; for the exponential loss it reuses ``per`` = exp(-z) if given."""
+def loss_values(z: np.ndarray, kind: str) -> np.ndarray:
+    """Per-example loss at signed outputs z = y * network(x)."""
+    with np.errstate(over="ignore"):
+        return _losses(np.negative(z), kind)
+
+
+def _loss_derivative(z: np.ndarray, kind: str) -> np.ndarray:
+    """d loss / dz."""
     if kind == "exponential":
-        return np.negative(loss_values(z, kind) if per is None else per)
+        return np.negative(loss_values(z, kind))
     # logistic: -1 / (1 + e^z), as -e^-z / (1 + e^-z) for z > 0 so no exp overflows
     e = np.exp(-np.abs(z))
     return np.where(z > 0.0, -e, -1.0) / (1.0 + e)
@@ -152,18 +157,22 @@ class Gradient:
     out_weights: np.ndarray
 
 
-def _gradient_arrays(ys, act, z, v, kind: str, per=None, out=None):
-    """(G, d/dv) of the mean loss from a forward pass, G written into ``out``.
+def _gradient_arrays(out, nys, act, nz, per, v, kind: str):
+    """(G, d/dv) of the mean loss, written into ``out`` = [G; d/dv] of shape (n+1, k).
 
-    G[i, j] = loss'(z_i) y_i v_j / n if neuron j is active on point i, else
-    0: the gradient in the row space of x~ = [x, 1], so d/dW = G.T @ xs and
-    d/db = G.sum(axis=0).
+    From a forward pass with nz = -z and losses ``per``, and nys = -y: G[i, j]
+    = loss'(z_i) y_i v_j / n if neuron j is active on point i, else 0, the
+    gradient in the row space of x~ = [x, 1], so d/dW = G.T @ xs and d/db =
+    G.sum(axis=0).  loss'(z) y is taken, to the bit, as d loss / d(-z) times
+    -y; the exponential loss is its own d loss / d(-z).
     """
-    coeff = _loss_derivative(z, kind, per) * ys / ys.shape[0]  # (n,)
-    g = np.sign(act, out=out)  # the 0/1 activity mask, as act >= 0
+    n = nys.shape[0]
+    slope = per if kind == "exponential" else np.negative(_loss_derivative(-nz, kind))
+    coeff = slope * nys / n
+    g = np.sign(act, out=out[:n])  # the 0/1 activity mask, as act >= 0
     g *= coeff[:, None]
     g *= v
-    return g, act.T @ coeff
+    return g, np.dot(act.T, coeff, out=out[n])
 
 
 def gradient(net: NetworkParams, data: LabeledDataset, kind: str = "exponential") -> Gradient:
@@ -174,7 +183,9 @@ def gradient(net: NetworkParams, data: LabeledDataset, kind: str = "exponential"
     """
     xs = _check_inputs(net, data.points)
     _, act, out = _forward_arrays(xs @ net.weights.T, net.biases, net.out_weights)
-    g, g_v = _gradient_arrays(data.labels, act, data.labels * out, net.out_weights, kind)
+    z = data.labels * out
+    g, g_v = _gradient_arrays(np.empty((data.size + 1, net.width)), -data.labels, act, -z,
+                              loss_values(z, kind), net.out_weights, kind)
     return Gradient(g.T @ xs, g.sum(axis=0), g_v)
 
 
@@ -213,97 +224,95 @@ def train(data: LabeledDataset, cfg: TrainConfig) -> tuple[NetworkParams, TrainT
     refusal rule (in a neuron dead on every point) by a checkpoint.
     """
     init = init_small(data.dim, cfg.width, cfg.init_scale, cfg.rng_seed)
-    w0 = init.weights
-    b0 = init.biases
-    v = init.out_weights.copy()
-    xs, ys = data.points, data.labels
+    w0, b0 = init.weights, init.biases
+    xs, nys, kind = data.points, -data.labels, cfg.loss_kind
 
     # With x~ = [x, 1], every update of (W, b) is a combination of the rows
     # of x~: W = W0 + C.T @ xs and b = b0 + C.sum(axis=0) for C of shape
-    # (n, k), and the pre-activations are base + gram @ C.  The state and
-    # the proposed step each own a (C, pre, act) buffer set, swapped when a
-    # step is accepted.  Checkpoints see [W, b] only in the basis of
-    # kkt._row_span, as coord0 + C.T @ xq; W and b are formed only at the end.
-    n = data.size
+    # (n, k), and the pre-activations are base + gram @ C.  theta = [C; v] is
+    # laid out like the gradient [G; d/dv], and the state and the proposed
+    # step each own a (theta, C, v, pre, act) buffer set, swapped when a step
+    # is accepted.  nz = out * -y is -z to the bit (labels are +-1).
+    # Checkpoints see [W, b] only in the basis of kkt._row_span, as coord0 +
+    # C.T @ xq; W and b are formed only at the end.
+    n, k = data.size, cfg.width
     base = xs @ w0.T + b0
     gram = xs @ xs.T + 1.0
     coord0, xq, perp_sq = kkt._row_span(xs, w0, b0)
     start = None  # the positive duals of the last estimate
-    state = [np.zeros((n, cfg.width)) for _ in range(3)]
-    trial = [np.empty((n, cfg.width)) for _ in range(3)]
-    g = np.empty((n, cfg.width))
-    lr = cfg.learning_rate
-    refused = 0
+    state, trial = ([theta, theta[:n], theta[n], np.empty((n, k)), np.empty((n, k))]
+                    for theta in (np.vstack([np.zeros((n, k)), init.out_weights]),
+                                  np.empty((n + 1, k))))
+    grad = np.empty((n + 1, k))
+    total, lowest, highest = np.add.reduce, np.minimum.reduce, np.maximum.reduce
+    lr, refused = cfg.learning_rate, 0
     trace = TrainTrace()
     caller_errstate = np.geterr()
 
-    def forward(c_, pre_, act_, v_):
-        np.matmul(gram, c_, out=pre_)
-        z_ = ys * _forward_arrays(pre_, base, v_, act=act_)[2]
-        per_ = loss_values(z_, cfg.loss_kind)
-        return z_, per_, float(per_.sum()) / n
+    def forward(_theta, c_, v_, pre_, act_):
+        nz_ = _forward_arrays(np.dot(gram, c_, out=pre_), base, v_, act=act_)[2] * nys
+        per_ = _losses(nz_, kind)
+        return nz_, per_, float(total(per_)) / n
 
-    c, pre, act = state
-    z, per, loss_now = forward(*state, v)
-    if not np.isfinite(loss_now):
-        trace.stop_reason = "diverged"
-        raise TrainingDivergedError("loss became non-finite at step 0", trace)
-    g_v = None
-
+    theta, c, v, pre, act = state
     with np.errstate(over="ignore", invalid="ignore"):
+        nz, per, loss_now = forward(*state)
+        if not math.isfinite(loss_now):
+            trace.stop_reason = "diverged"
+            raise TrainingDivergedError("loss became non-finite at step 0", trace)
+        _gradient_arrays(grad, nys, act, nz, per, v, kind)
         for step in range(cfg.max_steps + 1):
-            if not trace.reached_loss_below_1_over_n and loss_now < 1.0 / n and z.min() > 0.0:
+            if not trace.reached_loss_below_1_over_n and loss_now < 1.0 / n and highest(nz) < 0.0:
                 trace.reached_loss_below_1_over_n = True
                 trace.first_step_below_1_over_n = step
 
-            if g_v is None:
-                g_v = _gradient_arrays(ys, act, z, v, cfg.loss_kind, per, out=g)[1]
             last = step == cfg.max_steps
             if step % cfg.checkpoint_every == 0 or last:
+                z = -nz
                 coord = coord0 + c.T @ xq
                 norm_sq = perp_sq + float(np.vdot(coord, coord)) + float(v @ v)
                 if not math.isfinite(norm_sq):
                     trace.stop_reason = "diverged"
                     raise TrainingDivergedError(f"parameters overflowed by step {step}", trace)
                 min_margin = float(np.min(z))
-                span = coord, xq, perp_sq, math.sqrt(norm_sq)
+                theta_norm = math.sqrt(norm_sq)
                 try:
                     with np.errstate(**caller_errstate):
-                        report = kkt.estimate_from_row_space(data, pre, act, z, v, span,
-                                                             start=start)
+                        report = kkt.estimate_from_row_space(
+                            data, pre, act, z, v,
+                            lambda idx: (coord, xq[idx], perp_sq, theta_norm), start=start)
                     residual, method = report.stationarity_residual, report.residual_method
                     start = report.lambdas > 0.0
                 except DegenerateNetworkError:
                     residual, method = 1.0, "degenerate"
                 trace.records.append(TraceRecord(
-                    step, loss_now, min_margin, math.sqrt(norm_sq), min_margin / norm_sq,
+                    step, loss_now, min_margin, theta_norm, min_margin / norm_sq,
                     residual, method, lr, refused))
                 if loss_now <= cfg.loss_target and residual <= cfg.kkt_residual_target:
                     trace.stop_reason = "targets-met"
                     break
                 # A zero step changes no state, so no later step would either.
-                if not (g.any() or g_v.any()):
+                if not grad.any():
                     trace.stop_reason = "zero-gradient"
                     break
                 if last:
                     trace.stop_reason = "max-steps"
                     break
 
-            c_new = trial[0]
-            np.subtract(c, np.multiply(g, lr, out=c_new), out=c_new)
-            v_new = v - lr * g_v
-            z_new, per_new, loss_new = forward(*trial, v_new)
+            new = trial[0]
+            np.subtract(theta, np.multiply(grad, lr, out=new), out=new)
+            nz_new, per_new, loss_new = forward(*trial)
             # A huge positive margin overflows an output but not the loss.
-            if not (math.isfinite(loss_new) and math.isfinite(z_new.max())):
+            if not (math.isfinite(loss_new) and math.isfinite(lowest(nz_new))):
                 refused += 1
                 lr *= 0.5
                 continue
             fitting = loss_now >= 1.0 / n
             decreased = loss_new <= loss_now
             state, trial = trial, state
-            c, pre, act = state
-            v, z, per, loss_now = v_new, z_new, per_new, loss_new
-            g_v = None
+            theta, c, v, pre, act = state
+            nz, per, loss_now = nz_new, per_new, loss_new
+            _gradient_arrays(grad, nys, act, nz, per, v, kind)
             if not fitting:
                 if not decreased:
                     lr *= 0.5

@@ -299,6 +299,64 @@ class TestBatchedKinkRefinement:
         assert report.residual_method == "direct+kink-refinement"
         assert np.unique(_support_kink_counts(net, data, report)).size >= 3
 
+    def test_many_points_above_the_margin(self, monkeypatch):
+        # Hundreds of points well above the margin, in more dimensions than
+        # the support has rows: the span is taken over the support rows only,
+        # and the estimate still matches the reference.
+        data = _sample_labeled(20, 20, 1.0, seed=0)
+        net = _trained(data, 64)
+        fresh = _sample_labeled(20, 4000, 1.0, seed=5).points
+        out = ml.forward_batch(net, fresh)
+        far = np.abs(out) > 1.2 * ml.margin(net, data)[0]
+        many = ml.LabeledDataset(np.vstack([data.points, fresh[far]]),
+                                 np.append(data.labels, np.sign(out[far])))
+        assert many.size > 500
+        row_span, rows = ml.kkt._row_span, []
+        monkeypatch.setattr(ml.kkt, "_row_span",
+                            lambda xs, *wb: rows.append(len(xs)) or row_span(xs, *wb))
+        report = self.assert_matches_reference(net, many)
+        assert report.support_indices == ml.estimate_lambdas(net, data).support_indices
+        assert rows == [len(report.support_indices)] * 2
+        assert rows[0] < many.dim + 1
+
+    def test_single_kink_rows_match_the_hermitian_pinv_bit_for_bit(self):
+        # One kink row per neuron: every Gram is 1 x 1 and is inverted
+        # without np.linalg.pinv.  The first pass's subgradients must have the
+        # bits of the hermitian pinv path, at g = 0 (zero duals) and where
+        # (1/g) * rhs underflows to a signed zero too.
+        rng = np.random.default_rng(7)
+        s, k = 6, 4000
+        s_y = np.where(rng.random(s) < 0.5, -1.0, 1.0)
+        xs = rng.normal(size=(s, 3))
+        inner_x = xs @ xs.T + 1.0
+        lam = rng.uniform(0.5, 2.0, size=s) * 10.0 ** rng.integers(-40, 1, size=s)
+        lam[[1, 4]] = 0.0
+        v = rng.normal(size=k) * 10.0 ** rng.integers(-5, 5, size=k)
+        kink = np.zeros((s, k), dtype=bool)
+        cols = np.arange(k)
+        rows = rng.integers(s, size=k)
+        kink[rows, cols] = True
+        s_pre = rng.normal(size=(s, k))
+        s_pre[:, ::2] = -np.abs(s_pre[:, ::2])  # no active fixed rows: rhs = c s_pre / v
+        s_pre[rows, cols] *= 10.0 ** rng.integers(-320, -280, size=k)
+        seen = []
+
+        def solve(sigma, passive):
+            seen.append(sigma.copy())
+            return lam, 0.5  # no gain: one pass
+
+        ml.kkt._refine_kink_subgradients(v, s_pre, s_y, inner_x, kink, solve, lam, 0.5)
+        c = lam * s_y
+        fixed = np.where(kink, 0.0, (s_pre > 0.0).astype(float))
+        rhs = (c[:, None] * (s_pre / v - inner_x @ (fixed * c[:, None])))[rows, cols]
+        g = (np.outer(c, c) * inner_x)[rows, rows]
+        pinv = np.linalg.pinv(g[:, None, None], rcond=np.finfo(float).eps, hermitian=True)
+        want = np.clip((pinv @ rhs[:, None, None])[:, 0, 0], 0.0, 1.0)
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0][rows, cols].view(np.int64), want.view(np.int64))
+        assert np.any(g == 0.0) and np.any((g > 0.0) & (rhs == 0.0) & np.signbit(rhs))
+        assert np.any((want > 0.0) & (want < 1.0))
+
 
 class TestResidualMethod:
     def test_quadratic_form_above_the_size_gate(self, monkeypatch):

@@ -170,6 +170,41 @@ def test_piecewise_linear_equivalence_property(seed, k):
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
+KINK_KINDS = ("exact", "near", "dead", "silent")
+
+
+@hypothesis.settings(deadline=None, max_examples=60)
+@hypothesis.given(seed=st.integers(0, 10_000), n_locs=st.integers(1, 4),
+                  kinds=st.lists(st.sampled_from(KINK_KINDS), min_size=1, max_size=12))
+def test_piecewise_form_with_coincident_and_dead_kinks(seed, n_locs, kinds):
+    # Neurons share a few kink locations: "exact" ones to the bit (a shared
+    # (w, b) scaled by +-2^p), "near" ones off by a relative 1e-13 to 1e-11;
+    # "dead" neurons have a zero input weight and "silent" ones a zero output
+    # weight.  The form must give the network's values everywhere, kinks
+    # included.
+    rng = np.random.default_rng(seed)
+    locs = rng.uniform(-5.0, 5.0, n_locs)
+    neurons = []
+    for kind in kinds:
+        loc = locs[rng.integers(n_locs)]
+        w = float(rng.choice([-1.0, 1.0]) * 2.0 ** rng.integers(-3, 4))
+        b = -w * loc
+        if kind == "near":
+            b *= 1.0 + float(rng.choice([1e-13, -1e-12, 1e-11]))
+        elif kind == "dead":
+            w, b = 0.0, float(rng.normal())
+        v = 0.0 if kind == "silent" else float(rng.normal())
+        neurons.append(([w], b, v))
+    net = net_1d(neurons)
+    pl = ml.to_piecewise_linear(net)
+    assert np.all(np.diff(pl.breakpoints) > 0.0)
+    xs = np.concatenate([rng.uniform(-10.0, 10.0, 200), locs, locs * (1.0 + 1e-12)])
+    want = ml.forward_batch(net, xs.reshape(-1, 1))
+    w, b, v = net.weights[:, 0], net.biases, net.out_weights
+    scale = float(np.sum(np.abs(v) * (10.0 * np.abs(w) + np.abs(b))))
+    np.testing.assert_allclose(pl_value(pl, xs), want, rtol=1e-9, atol=1e-9 * scale)
+
+
 class TestModelFile:
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(4)

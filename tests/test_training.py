@@ -65,6 +65,10 @@ class TestLoss:
 
 
 class TestGradient:
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError):
+            ml.gradient(zero_network(), dataset([[0.0, 0.0]], [1]), "hinge")
+
     def test_inactive_network_has_zero_weight_gradients(self):
         # All pre-activations negative: sigma' = 0 everywhere.
         net = ml.NetworkParams(np.zeros((2, 1)), np.array([-1.0, -2.0]), np.array([1.0, -1.0]))
@@ -522,23 +526,34 @@ class TestExpEdge:
         assert not np.any(np.isnan(parameter_vector(g)))
 
     def test_shared_exp_gives_the_same_bits(self):
+        # The GD loop keeps nz = out * -y (-z, as labels are +-1) and its
+        # losses exp(nz); the exponential's coefficient per * -y / n must have
+        # the bits of a fresh -exp(-z) * y / n, and the logistic loss and
+        # derivative from nz those from z.
         rng = np.random.default_rng(0)
         z = np.concatenate([EDGE_Z, rng.normal(0.0, 300.0, 200)])
-        with np.errstate(over="ignore"):
-            textbook = -np.exp(-z)
-        per = loss_values(z, "exponential")
-        np.testing.assert_array_equal(bits(_loss_derivative(z, "exponential", per)),
-                                      bits(textbook))
-        np.testing.assert_array_equal(bits(_loss_derivative(z, "exponential")),
-                                      bits(textbook))
-        ys = np.where(np.arange(z.size) % 2 == 0, 1.0, -1.0)
-        act = np.maximum(rng.normal(size=(z.size, 7)), 0.0)
+        n = z.size
+        ys = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        nz = (ys * z) * -ys  # the output ys * z times -y
+        np.testing.assert_array_equal(bits(nz), bits(-z))
+        act = np.maximum(rng.normal(size=(n, 7)), 0.0)
         v = rng.normal(size=7)
-        with np.errstate(invalid="ignore"):  # 0 * inf at inactive overflowed entries
-            shared = _gradient_arrays(ys, act, z, v, "exponential", per)
-            fresh = _gradient_arrays(ys, act, z, v, "exponential")
-        for a, b in zip(shared, fresh):
-            np.testing.assert_array_equal(bits(a), bits(b))
+        with np.errstate(over="ignore"):
+            fresh = {"exponential": -np.exp(-z), "logistic": _loss_derivative(z, "logistic")}
+        for kind, deriv in fresh.items():
+            with np.errstate(over="ignore"):
+                per = training._losses(nz, kind)
+            np.testing.assert_array_equal(bits(per), bits(loss_values(z, kind)))
+            coeff = deriv * ys / n
+            if kind == "exponential":
+                np.testing.assert_array_equal(bits(per * -ys / n), bits(coeff))
+            out = np.full((n + 1, 7), np.nan)
+            with np.errstate(invalid="ignore"):  # 0 * inf at inactive overflowed entries
+                g, g_v = _gradient_arrays(out, -ys, act, nz, per, v, kind)
+                want = np.sign(act) * coeff[:, None] * v, act.T @ coeff
+            np.testing.assert_array_equal(bits(out[:n]), bits(want[0]))
+            np.testing.assert_array_equal(bits(out[n]), bits(want[1]))
+            assert np.shares_memory(g, out) and np.shares_memory(g_v, out)
 
 
 class TestTraceCsv:
