@@ -44,12 +44,7 @@ from .kkt import (
 )
 from .membership import (
     AttackEvaluation,
-    MembershipVerdict,
-    attack_bounded_margin,
-    attack_known_margin,
-    attack_leaked_points,
     evaluate_attack,
-    membership_score,
     membership_scores,
     membership_verdicts,
     write_evaluation_csv,
@@ -58,8 +53,6 @@ from .model import (
     LabeledDataset,
     NetworkParams,
     PiecewiseLinear,
-    breakpoints,
-    forward,
     forward_batch,
     load_network,
     save_network,

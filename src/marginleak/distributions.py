@@ -7,6 +7,7 @@ measures how close a concrete sample comes to that regime.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,8 +117,10 @@ class AssumptionReport:
 
     ``ratio`` = n_effective * delta / Delta, where delta is the largest
     absolute pairwise inner product and Delta the smallest squared norm; the
-    attacks need it well below 1.  The two fractions count threshold
-    violations against the desk-scale stand-ins for o(d) and Omega(d).
+    attacks need it well below 1.  A point at the origin (Delta = 0) breaks
+    the norm condition whatever delta is, and gives ``ratio`` = inf.  The two
+    fractions count threshold violations against the desk-scale stand-ins
+    for o(d) and Omega(d).
     """
 
     n: int
@@ -153,7 +156,7 @@ def check_assumption(points: np.ndarray, n_effective: int | None = None) -> Assu
         n_effective=n_effective,
         max_abs_inner=delta,
         min_sq_norm=dmin,
-        ratio=n_effective * delta / dmin,
+        ratio=n_effective * delta / dmin if dmin != 0.0 else math.inf,
         pairwise_threshold=pairwise_threshold,
         norm_threshold=norm_threshold,
         frac_pairs_above_threshold=float(

@@ -18,7 +18,8 @@ import numpy as np
 from . import training
 from .errors import DegenerateNetworkError
 from .model import (
-    LabeledDataset, NetworkParams, _forward_arrays, _write_json, forward_batch,
+    LabeledDataset, NetworkParams, _check_inputs, _forward_arrays, _write_json,
+    forward_batch,
 )
 from .nnls import nnls_normal
 
@@ -34,6 +35,11 @@ ARGMIN_REL_SLACK = 1e-9
 # interior subgradient values there.
 KINK_REL_TOL = 1e-4
 _REFINE_MAX_PASSES = 20
+# A later refinement pass replaces the best one only when its residual is
+# lower by more than this relative amount: residuals that agree to the last
+# bits would otherwise let the rounding (and so the BLAS thread count) pick
+# the reported duals.
+_REFINE_TIE_REL = 1e-12
 
 # Only picks the residual method; neither forms anything (k, d)-wide.  Above
 # this support size times parameter count: the quadratic form, unrefined, so it
@@ -158,7 +164,8 @@ def _refine_kink_subgradients(
     least-squares solution; a pass costs O(k s^2), whatever d is.  Clipping
     that solution to [0, 1] is not the box-constrained minimizer once a
     neuron has two kink rows, so a pass can raise the residual; the best
-    (lam, residual) over all solves is returned.
+    (lam, residual) over all solves is returned, ties decided as
+    ``_REFINE_TIE_REL`` says.
     """
     neurons = np.nonzero(kink.any(axis=0) & (v != 0.0))[0]
     # Distinct kink patterns (columns), sorted by one lexsort, and each neuron's.
@@ -206,7 +213,7 @@ def _refine_kink_subgradients(
             sigma_work[kink_rows, neurons[members, None]] = np.clip(sol, 0.0, 1.0)
         previous = residual
         lam, residual = solve(sigma_work, lam > 0.0)
-        if residual <= best[1]:
+        if residual < best[1] * (1.0 - _REFINE_TIE_REL):
             best = lam, residual
     return best
 
@@ -235,9 +242,10 @@ def estimate_lambdas(
     keeps the strict 0/1 convention regardless of any kink refinement.
     ``residual_method`` says how the residual was computed (see
     :class:`KktReport`).  Raises ValueError unless ``support_slack`` is
-    nonnegative and finite.
+    nonnegative and finite, and DimensionMismatchError unless the network
+    takes points of the data's dimension.
     """
-    xs, v = data.points, net.out_weights
+    xs, v = _check_inputs(net, data.points), net.out_weights
     pre, act, out = _forward_arrays(xs @ net.weights.T, net.biases, v)
 
     def support_span(idx):

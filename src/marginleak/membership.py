@@ -14,24 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNetworkError
-from .model import NetworkParams, _write_csv, forward, forward_batch
+from .model import NetworkParams, _write_csv, forward_batch
 
 RULES = ("known-margin", "leaked-points", "bounded-margin")
-
-
-@dataclass(frozen=True)
-class MembershipVerdict:
-    """Score, decision and the threshold/comparison that produced it."""
-
-    score: float
-    is_member: bool
-    rule: str
-    threshold_used: float
-    comparison: str  # "ge": member iff score >= threshold; "gt": strictly above
-
-    def __post_init__(self):
-        if self.comparison not in ("ge", "gt"):
-            raise ValueError("comparison must be 'ge' or 'gt'")
 
 
 @dataclass(frozen=True)
@@ -58,17 +43,9 @@ class AttackEvaluation:
     rows: tuple[EvaluationRow, ...]
 
 
-def membership_score(net: NetworkParams, x) -> float:
-    """|Phi(x)|, the black-box attack statistic."""
-    return abs(forward(net, x))
-
-
 def membership_scores(net: NetworkParams, xs: np.ndarray) -> np.ndarray:
+    """|Phi(x)| at every row of ``xs``, the black-box attack statistic."""
     return np.abs(forward_batch(net, xs))
-
-
-# Member iff score >= threshold ("ge"), or strictly above it ("gt").
-_COMPARISON = {"known-margin": "ge", "leaked-points": "ge", "bounded-margin": "gt"}
 
 
 def membership_verdicts(
@@ -97,38 +74,7 @@ def membership_verdicts(
         thr = alpha / 2.0
     else:
         raise ValueError(f"rule must be one of {RULES}")
-    return thr, scores > thr if _COMPARISON[rule] == "gt" else scores >= thr
-
-
-def _verdicts(rule: str, scores: np.ndarray, **bound) -> list[MembershipVerdict]:
-    thr, members = membership_verdicts(rule, scores, **bound)
-    return [MembershipVerdict(s, is_member, rule, thr, _COMPARISON[rule])
-            for s, is_member in zip(scores.tolist(), members.tolist())]
-
-
-def attack_known_margin(net: NetworkParams, m: float, x) -> MembershipVerdict:
-    """Member iff |Phi(x)| >= m / 2 (a fresh point falls below m/2 w.h.p.).
-
-    The tie at exactly m/2 counts as a member.
-    """
-    return _verdicts("known-margin", np.array([membership_score(net, x)]), margin=m)[0]
-
-
-def attack_leaked_points(net: NetworkParams, zs: np.ndarray) -> list[MembershipVerdict]:
-    """Verdicts for a batch known to contain at least one training point.
-
-    The maximum score alpha over the batch estimates the margin; each point
-    is then thresholded at alpha / 2.
-    """
-    zs = np.asarray(zs, dtype=float)
-    if zs.ndim != 2 or zs.shape[0] < 1:
-        raise ValueError("zs must be a nonempty (k, d) array")
-    return _verdicts("leaked-points", membership_scores(net, zs))
-
-
-def attack_bounded_margin(net: NetworkParams, c: float, x) -> MembershipVerdict:
-    """Member iff |Phi(x)| > C, strictly, for a known lower bound C < m."""
-    return _verdicts("bounded-margin", np.array([membership_score(net, x)]), threshold=c)[0]
+    return thr, scores > thr if rule == "bounded-margin" else scores >= thr
 
 
 def score_auc(member_scores: np.ndarray, fresh_scores: np.ndarray) -> float:

@@ -131,11 +131,6 @@ class LabeledDataset:
         return self.points.shape[1]
 
 
-def forward(net: NetworkParams, x) -> float:
-    """Evaluate the network at a single point (shape (d,))."""
-    return float(forward_batch(net, np.atleast_1d(np.asarray(x, dtype=float))[None, :])[0])
-
-
 def _check_inputs(net: NetworkParams, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != net.input_dim:
@@ -170,28 +165,6 @@ def _require_univariate(net: NetworkParams) -> None:
         raise DimensionMismatchError(
             f"operation requires a univariate network, got input_dim={net.input_dim}"
         )
-
-
-def _live_weight_mask(net: NetworkParams) -> np.ndarray:
-    w = net.weights[:, 0]
-    return np.abs(w) > DEAD_WEIGHT_REL_TOL * max(1.0, float(np.max(np.abs(w))))
-
-
-def breakpoints(net: NetworkParams) -> list[tuple[float, int]]:
-    """Kink locations -b_j / w_j of a univariate network.
-
-    Neurons whose input weight is numerically zero contribute no breakpoint.
-    Returned sorted ascending by location (ties ordered by neuron index).
-    """
-    _require_univariate(net)
-    live = _live_weight_mask(net)
-    pairs = [
-        (float(-net.biases[j] / net.weights[j, 0]), j)
-        for j in range(net.width)
-        if live[j]
-    ]
-    pairs.sort()
-    return pairs
 
 
 @dataclass(frozen=True)
@@ -270,12 +243,11 @@ def to_piecewise_linear(net: NetworkParams) -> PiecewiseLinear:
     change (slope and intercept both equal) are dropped.
     """
     _require_univariate(net)
-    live = _live_weight_mask(net) & (net.out_weights != 0.0)
-    locs = _merge_locations(-net.biases[live] / net.weights[live, 0])
-
     w = net.weights[:, 0]
     b = net.biases
     v = net.out_weights
+    live = (np.abs(w) > DEAD_WEIGHT_REL_TOL * max(1.0, float(np.max(np.abs(w))))) & (v != 0.0)
+    locs = _merge_locations(-b[live] / w[live])
 
     def segment_at(x_rep: float) -> tuple[float, float]:
         active = w * x_rep + b > 0.0

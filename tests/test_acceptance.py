@@ -265,10 +265,10 @@ def test_criterion_10_homogeneity():
         net = ml.NetworkParams(
             rng.normal(size=(k, d)), rng.normal(size=k), rng.normal(size=k)
         )
-        x = rng.normal(size=d)
-        base = ml.forward(net, x)
+        x = rng.normal(size=(1, d))
+        base = ml.forward_batch(net, x)[0]
         for factor in (0.5, 2.0, 10.0):
-            scaled = ml.forward(net.scaled(factor), x)
+            scaled = ml.forward_batch(net.scaled(factor), x)[0]
             want = factor**2 * base
             worst = max(worst, abs(scaled - want) / max(1e-12, abs(want)))
     report(10, worst < 1e-9,

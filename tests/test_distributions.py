@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import tracemalloc
 
 import hypothesis
@@ -106,6 +107,15 @@ class TestCheckAssumption:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             ml.check_assumption(np.ones((1, 3)))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("points", [[[0.0, 0.0], [1.0, 1.0]],
+                                        [[0.0, 0.0], [1.0, 1.0], [1.0, 0.0]]])
+    def test_point_at_origin_gives_infinite_ratio(self, points):
+        # Delta = 0 breaks the norm condition, whether delta is 0 or not.
+        report = ml.check_assumption(np.array(points))
+        assert report.min_sq_norm == 0.0
+        assert report.ratio == math.inf
 
     def test_sphere_ratio_small_at_prescribed_sample_size(self):
         # The sphere satisfies the near-orthogonality assumption for

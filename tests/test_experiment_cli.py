@@ -582,6 +582,25 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["verify-kkt", "--data"],
+        ["attack", "membership", "--rule", "leaked-points", "--points"],
+    ], ids=lambda command: command[-2])
+    def test_dimension_mismatch_exits_1(self, tmp_path, capsys, command):
+        # A d=3 model against a d=1 dataset.
+        rng = np.random.default_rng(0)
+        net = ml.NetworkParams(rng.normal(size=(2, 3)), np.zeros(2), np.ones(2))
+        ml.save_network(net, tmp_path / "model.json")
+        data = ml.LabeledDataset(np.arange(4.0).reshape(4, 1), np.array([1.0, -1.0, 1.0, -1.0]))
+        ml.write_dataset_csv(data, tmp_path / "data.csv")
+        out = tmp_path / "out"
+        code = main([*command, str(tmp_path / "data.csv"),
+                     "--model", str(tmp_path / "model.json"), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: inputs have shape (4, 1), network expects (n, 3)"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("scores", [["nan", "1.0", "0.9"], ["-5", "-1"], ["1.0", "inf"]],
                              ids=lambda scores: scores[0])
     def test_bad_scores_exit_2(self, tmp_path, scores):
@@ -612,12 +631,8 @@ def test_cli_membership_verdicts_match_library(tmp_path, rule):
 
     ev = ml.evaluate_attack(net, members, fresh, rule, **kwargs)
     from_eval = [row.verdict for row in ev.rows]
-    if rule == "known-margin":
-        from_attack = [ml.attack_known_margin(net, 1.5, x).is_member for x in points]
-    elif rule == "bounded-margin":
-        from_attack = [ml.attack_bounded_margin(net, 0.75, x).is_member for x in points]
-    else:
-        from_attack = [v.is_member for v in ml.attack_leaked_points(net, points)]
+    threshold, from_lib = ml.membership_verdicts(
+        rule, ml.membership_scores(net, points), **kwargs)
 
     scores = tmp_path / "scores.csv"
     scores.write_text("point_id,score\n" + "".join(
@@ -628,9 +643,11 @@ def test_cli_membership_verdicts_match_library(tmp_path, rule):
     out = tmp_path / "verdicts.csv"
     assert main(["attack", "membership", "--rule", rule, *flags,
                  "--scores", str(scores), "--out", str(out)]) == 0
-    from_cli = [row.split(",")[2] == "1" for row in out.read_text().splitlines()[1:]]
+    rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+    from_cli = [row[2] == "1" for row in rows]
 
-    assert from_cli == from_eval == from_attack
+    assert from_cli == from_eval == from_lib.tolist()
+    assert {float(row[4]) for row in rows} == {threshold}
     ties = [bool(v) for v, x in zip(from_cli, points[:, 0]) if x == 0.75]
     assert ties == [rule != "bounded-margin"] * 2
 

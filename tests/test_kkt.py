@@ -73,6 +73,12 @@ class TestEstimateLambdas:
         assert report.stationarity_residual == 1.0
         np.testing.assert_array_equal(report.lambdas, 0.0)
 
+    def test_dimension_mismatch_rejected(self):
+        net, _, _, _ = opposite_pair_network([1.0], k_pos=2, k_neg=2)
+        data = ml.LabeledDataset(np.ones((2, 3)), np.array([1.0, -1.0]))
+        with pytest.raises(ml.DimensionMismatchError):
+            ml.estimate_lambdas(net, data)
+
     @pytest.mark.parametrize("slack", [-1.0, math.nan, math.inf])
     def test_bad_support_slack_rejected(self, slack):
         net, data, _, _ = opposite_pair_network([1.0], k_pos=2, k_neg=2)
@@ -228,6 +234,26 @@ class TestBatchedKinkRefinement:
         assert report.residual_method == "direct+kink-refinement"
         assert solves[-1] > min(solves)
         assert report.stationarity_residual == min(solves)
+
+    @pytest.mark.parametrize("gain, first_wins", [
+        (lambda r: np.nextafter(r, 0.0), True),
+        (lambda r: r * (1.0 - 1e-6), False),
+    ], ids=["one-ulp", "1e-6"])
+    def test_later_pass_wins_only_by_more_than_a_tie(self, gain, first_wins):
+        # One neuron whose kink row is the single support point.  The stub
+        # solve is the second pass: fresh duals and a residual `gain` below
+        # the first pass's, so the third pass is never tried.
+        first = np.array([1.0]), 0.5
+        second = np.array([2.0]), gain(0.5)
+
+        def solve(sigma, passive):
+            return second
+
+        lam, residual = ml.kkt._refine_kink_subgradients(
+            np.ones(1), np.zeros((1, 1)), np.ones(1), np.ones((1, 1)),
+            np.ones((1, 1), dtype=bool), solve, *first)
+        want = first if first_wins else second
+        assert lam is want[0] and residual == want[1]
 
     def test_trained_d1000_cli_shape(self):
         # The cli-io workload's shape and schedule: d=1000, k=256, 100 steps

@@ -14,28 +14,27 @@ def zero_network(d=2):
 
 class TestMembershipScore:
     def test_zero_network_scores_zero(self):
-        assert ml.membership_score(zero_network(), [1.0, -3.0]) == 0.0
+        assert ml.membership_scores(zero_network(), [[1.0, -3.0]]).tolist() == [0.0]
 
     def test_orthogonal_input_scores_zero(self):
         net = ml.NetworkParams(np.array([[1.0, 0.0], [2.0, 0.0]]), np.zeros(2), np.ones(2))
-        assert ml.membership_score(net, [0.0, 5.0]) == 0.0
+        assert ml.membership_scores(net, [[0.0, 5.0]]).tolist() == [0.0]
 
     def test_training_point_scores_exactly_the_margin(self):
         rng = np.random.default_rng(1)
         net, data, _, m = shared_pattern_network(rng.normal(size=(4, 60)), [1.0, 0.5])
-        for x in data.points:
-            assert ml.membership_score(net, x) == pytest.approx(m, rel=1e-9)
+        np.testing.assert_allclose(ml.membership_scores(net, data.points), m, rtol=1e-9)
 
     def test_invariant_under_neuron_permutation(self):
         rng = np.random.default_rng(2)
         w = rng.normal(size=(5, 3))
         b = rng.normal(size=5)
         v = rng.normal(size=5)
-        x = rng.normal(size=3)
+        xs = rng.normal(size=(4, 3))
         perm = rng.permutation(5)
-        a = ml.membership_score(ml.NetworkParams(w, b, v), x)
-        bscore = ml.membership_score(ml.NetworkParams(w[perm], b[perm], v[perm]), x)
-        assert a == pytest.approx(bscore, rel=1e-12)
+        a = ml.membership_scores(ml.NetworkParams(w, b, v), xs)
+        bscore = ml.membership_scores(ml.NetworkParams(w[perm], b[perm], v[perm]), xs)
+        np.testing.assert_allclose(a, bscore, rtol=1e-12)
 
 
 def scoring_network():
@@ -43,79 +42,77 @@ def scoring_network():
     return ml.NetworkParams.from_neurons([([1.0], 0.0, 1.0), ([-1.0], 0.0, -1.0)])
 
 
+def verdicts(rule, xs, net=None, **bound):
+    """(threshold, verdicts) of ``rule`` on the scores of the 1-d points ``xs``."""
+    scores = ml.membership_scores(net or scoring_network(), np.reshape(xs, (-1, 1)))
+    return ml.membership_verdicts(rule, scores, **bound)
+
+
 class TestKnownMargin:
     def test_score_at_margin_is_member(self):
-        v = ml.attack_known_margin(scoring_network(), 1.0, [1.0])
-        assert v.is_member and v.rule == "known-margin"
+        assert verdicts("known-margin", [1.0], margin=1.0)[1].tolist() == [True]
 
     def test_low_score_is_not_member(self):
-        v = ml.attack_known_margin(scoring_network(), 1.0, [0.1])
-        assert not v.is_member
+        assert verdicts("known-margin", [0.1], margin=1.0)[1].tolist() == [False]
 
     def test_tie_at_half_margin_is_member(self):
-        v = ml.attack_known_margin(scoring_network(), 1.0, [0.5])
-        assert v.is_member
-        assert v.comparison == "ge"
-        assert v.threshold_used == 0.5
+        threshold, members = verdicts("known-margin", [0.5, -0.5], margin=1.0)
+        assert threshold == 0.5
+        assert members.tolist() == [True, True]
 
     def test_rescaled_network_same_verdicts(self):
         net = scoring_network()
         factor = 3.0
-        for x in ([0.3], [0.5], [0.9]):
-            a = ml.attack_known_margin(net, 1.0, x)
-            b = ml.attack_known_margin(net.scaled(factor), factor**2 * 1.0, x)
-            assert a.is_member == b.is_member
+        xs = [0.3, 0.5, 0.9]
+        _, a = verdicts("known-margin", xs, net, margin=1.0)
+        _, b = verdicts("known-margin", xs, net.scaled(factor), margin=factor**2 * 1.0)
+        assert a.tolist() == b.tolist() == [False, True, True]
 
 
 class TestLeakedPoints:
     def test_leaked_training_point_flagged(self):
         rng = np.random.default_rng(3)
         net, data, _, m = shared_pattern_network(rng.normal(size=(3, 50)), [1.0])
-        verdicts = ml.attack_leaked_points(net, data.points[:1])
-        assert verdicts[0].score == pytest.approx(m, rel=1e-9)
-        assert verdicts[0].is_member
+        scores = ml.membership_scores(net, data.points[:1])
+        assert scores[0] == pytest.approx(m, rel=1e-9)
+        assert ml.membership_verdicts("leaked-points", scores)[1].tolist() == [True]
 
     def test_threshold_is_half_of_max(self):
-        zs = np.array([[1.0], [0.05]])
-        verdicts = ml.attack_leaked_points(scoring_network(), zs)
-        assert [v.is_member for v in verdicts] == [True, False]
-        assert verdicts[0].threshold_used == 0.5
+        threshold, members = verdicts("leaked-points", [1.0, 0.05, 0.5])
+        assert threshold == 0.5
+        assert members.tolist() == [True, False, True]
 
     def test_identical_scores_all_members(self):
-        zs = np.array([[0.7], [-0.7], [0.7]])
-        verdicts = ml.attack_leaked_points(scoring_network(), zs)
-        assert all(v.is_member for v in verdicts)
+        assert verdicts("leaked-points", [0.7, -0.7, 0.7])[1].all()
 
     def test_all_zero_scores_degenerate(self):
         with pytest.raises(ml.DegenerateNetworkError):
-            ml.attack_leaked_points(zero_network(1), np.array([[1.0], [2.0]]))
+            verdicts("leaked-points", [1.0, 2.0], zero_network(1))
 
     def test_verdicts_invariant_under_permutation(self):
         rng = np.random.default_rng(4)
-        zs = rng.normal(size=(6, 1))
-        base = ml.attack_leaked_points(scoring_network(), zs)
+        zs = rng.normal(size=6)
+        _, base = verdicts("leaked-points", zs)
         perm = rng.permutation(6)
-        shuffled = ml.attack_leaked_points(scoring_network(), zs[perm])
-        assert [v.is_member for v in shuffled] == [base[i].is_member for i in perm]
+        _, shuffled = verdicts("leaked-points", zs[perm])
+        assert shuffled.tolist() == base[perm].tolist()
 
 
 class TestBoundedMargin:
     def test_above_bound_is_member(self):
-        v = ml.attack_bounded_margin(scoring_network(), 0.5, [1.0])
-        assert v.is_member
+        assert verdicts("bounded-margin", [1.0], threshold=0.5)[1].tolist() == [True]
 
     def test_small_score_is_not(self):
-        v = ml.attack_bounded_margin(scoring_network(), 1.0 / np.e, [0.01])
-        assert not v.is_member
+        assert verdicts("bounded-margin", [0.01], threshold=1.0 / np.e)[1].tolist() == [False]
 
     def test_exactly_at_bound_is_not_member(self):
-        v = ml.attack_bounded_margin(scoring_network(), 0.7, [0.7])
-        assert not v.is_member
-        assert v.comparison == "gt"
+        threshold, members = verdicts("bounded-margin", [0.7, -0.7], threshold=0.7)
+        assert threshold == 0.7
+        assert members.tolist() == [False, False]
 
     def test_bound_must_be_positive(self):
         with pytest.raises(ValueError):
-            ml.attack_bounded_margin(scoring_network(), 0.0, [1.0])
+            verdicts("bounded-margin", [1.0], threshold=0.0)
 
 
 class TestEvaluateAttack:
@@ -219,9 +216,9 @@ def test_margin_and_threshold_must_be_positive_and_finite(value):
     net = scoring_network()
     points = np.array([[1.0], [0.0]])
     with pytest.raises(ValueError):
-        ml.attack_known_margin(net, value, [1.0])
+        verdicts("known-margin", [1.0], net, margin=value)
     with pytest.raises(ValueError):
-        ml.attack_bounded_margin(net, value, [1.0])
+        verdicts("bounded-margin", [1.0], net, threshold=value)
     with pytest.raises(ValueError):
         ml.evaluate_attack(net, points, points, "known-margin", margin=value)
     with pytest.raises(ValueError):

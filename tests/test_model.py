@@ -28,31 +28,32 @@ def random_network(rng, d, k, scale=1.0):
 class TestForward:
     def test_zero_out_weights_give_zero(self):
         net = net_1d([([1.0], 0.5, 0.0), ([2.0], -1.0, 0.0)])
-        assert ml.forward(net, [3.0]) == 0.0
+        assert ml.forward_batch(net, [[3.0]]).tolist() == [0.0]
 
     def test_single_neuron(self):
         net = net_1d([([1.0], 0.0, 1.0)])
-        assert ml.forward(net, [2.0]) == 2.0
+        assert ml.forward_batch(net, [[2.0]]).tolist() == [2.0]
 
     def test_two_neurons(self):
         net = net_1d([([1.0], 0.0, 1.0), ([1.0], -1.0, -1.0)])
         # max(0, 2) - max(0, 1) = 1
-        assert ml.forward(net, [2.0]) == 1.0
+        assert ml.forward_batch(net, [[2.0]]).tolist() == [1.0]
 
     def test_dimension_mismatch_rejected(self):
         net = net_1d([([1.0], 0.0, 1.0)])
-        with pytest.raises(ml.DimensionMismatchError):
-            ml.forward(net, [1.0, 2.0])
-        with pytest.raises(ml.DimensionMismatchError):
-            ml.forward_batch(net, np.zeros((3, 2)))
+        for xs in ([1.0, 2.0], [[1.0, 2.0]], np.zeros((3, 2))):
+            with pytest.raises(ml.DimensionMismatchError):
+                ml.forward_batch(net, xs)
 
     def test_batch_matches_scalar(self):
+        # Oracle: the neuron sum at each point on its own.
         rng = np.random.default_rng(0)
         net = random_network(rng, 3, 5)
         xs = rng.normal(size=(10, 3))
         batch = ml.forward_batch(net, xs)
         for i, x in enumerate(xs):
-            assert batch[i] == pytest.approx(ml.forward(net, x), rel=1e-12)
+            want = sum(v * max(0.0, float(w @ x) + b) for w, b, v in net.neurons())
+            assert batch[i] == pytest.approx(want, rel=1e-12)
 
 
 class TestValidation:
@@ -77,28 +78,29 @@ class TestValidation:
 class TestBreakpoints:
     def test_single_neuron_ratio(self):
         net = net_1d([([2.0], -4.0, 1.0)])
-        assert ml.breakpoints(net) == [(2.0, 0)]
+        assert ml.to_piecewise_linear(net).breakpoints.tolist() == [2.0]
 
     def test_zero_weight_excluded(self):
         net = net_1d([([0.0], 1.0, 1.0), ([1.0], -1.0, 1.0)])
-        assert ml.breakpoints(net) == [(1.0, 1)]
+        assert ml.to_piecewise_linear(net).breakpoints.tolist() == [1.0]
 
     def test_two_neurons_sorted(self):
         net = net_1d([([1.0], -1.0, 1.0), ([-1.0], -3.0, 1.0)])
-        assert ml.breakpoints(net) == [(-3.0, 1), (1.0, 0)]
+        assert ml.to_piecewise_linear(net).breakpoints.tolist() == [-3.0, 1.0]
 
     def test_requires_univariate(self):
         rng = np.random.default_rng(1)
         with pytest.raises(ml.DimensionMismatchError):
-            ml.breakpoints(random_network(rng, 2, 3))
+            ml.to_piecewise_linear(random_network(rng, 2, 3))
 
     def test_locations_zero_some_preactivation(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             net = random_network(rng, 1, 6)
-            for loc, j in ml.breakpoints(net):
-                pre = net.weights[j, 0] * loc + net.biases[j]
-                assert abs(pre) <= 1e-12
+            locs = ml.to_piecewise_linear(net).breakpoints
+            assert locs.size > 0
+            pre = np.outer(locs, net.weights[:, 0]) + net.biases
+            assert np.all(np.min(np.abs(pre), axis=1) <= 1e-12)
 
 
 class TestPiecewiseLinear:
@@ -152,9 +154,9 @@ class TestPiecewiseLinear:
 def test_scaling_parameters_squares_the_output(seed, k, factor):
     rng = np.random.default_rng(seed)
     net = random_network(rng, int(rng.integers(1, 4)), k)
-    x = rng.normal(size=net.input_dim)
-    base = ml.forward(net, x)
-    scaled = ml.forward(net.scaled(factor), x)
+    x = rng.normal(size=(1, net.input_dim))
+    base = ml.forward_batch(net, x)[0]
+    scaled = ml.forward_batch(net.scaled(factor), x)[0]
     assert scaled == pytest.approx(factor**2 * base, rel=1e-9, abs=1e-12)
 
 

@@ -49,7 +49,7 @@ class TestRecoverSingle:
             net = ml.NetworkParams.from_neurons([([w], b, v)])
             m = float(rng.uniform(0.5, 3.0))
             x = ml.recover_single(net, m)
-            assert abs(ml.forward(net, [x])) == pytest.approx(m, rel=1e-9)
+            assert abs(ml.forward_batch(net, [[x]])[0]) == pytest.approx(m, rel=1e-9)
 
     def test_degenerate_rejected(self):
         with pytest.raises(ml.DegenerateNetworkError):
@@ -114,7 +114,7 @@ class TestBuildCandidateSet:
         cs = ml.build_candidate_set(pl, m)
         for p, prov in zip(cs.points, cs.provenance):
             if prov == "crossing":
-                assert abs(abs(ml.forward(net, [p])) - m) <= 1e-3 * m
+                assert abs(abs(ml.forward_batch(net, [[p]])[0]) - m) <= 1e-3 * m
 
     def test_flat_alternation_adds_boundaries(self):
         pl = ml.to_piecewise_linear(flat_alternation_network())

@@ -204,7 +204,7 @@ class TestTrain:
         cfg = ml.TrainConfig(width=1, max_steps=800, loss_target=1e-4,
                              kkt_residual_target=0.5, rng_seed=3, checkpoint_every=50)
         net, trace, _ = ml.train_non_degenerate(data, cfg)
-        out = abs(ml.forward(net, [0.7]))
+        out = abs(ml.forward_batch(net, [[0.7]])[0])
         assert out == pytest.approx(abs(trace.final().min_margin), rel=1e-12)
 
     def test_loss_monotone_with_fixed_small_rate(self):
@@ -334,7 +334,7 @@ class TestTrain:
         net, trace, retries = ml.train_non_degenerate(data, cfg)
         assert retries == 1
         assert trace.reached_loss_below_1_over_n
-        assert abs(ml.forward(net, [0.7])) > 0
+        assert abs(ml.forward_batch(net, [[0.7]])[0]) > 0
 
 
 def mixture(n, d, seed):
