@@ -88,7 +88,8 @@ class KktReport:
     # at kinks and reports the smallest residual over its passes;
     # "quadratic-form" expands the square through the Gram matrix (large
     # networks, no refinement); "empty-support": no point near the margin,
-    # residual reported as 1.
+    # residual reported as 1; "zero-margin": some point sits at output 0, so
+    # the margin is 0 and no stationarity is defined, residual reported as 1.
     residual_method: str = "direct"
 
 
@@ -238,8 +239,10 @@ def estimate_lambdas(
     relative to ||theta||, minimized jointly over the duals and over the
     admissible subgradient values at (point, neuron) pairs whose
     pre-activation sits at a kink.  An empty support yields residual 1, zero
-    duals and the method ``empty-support``.  The reported sigma_primes matrix
-    keeps the strict 0/1 convention regardless of any kink refinement.
+    duals and the method ``empty-support``; a margin of 0 (some point at
+    output 0) yields the same with support () and the method
+    ``zero-margin``.  The reported sigma_primes matrix keeps the strict 0/1
+    convention regardless of any kink refinement.
     ``residual_method`` says how the residual was computed (see
     :class:`KktReport`).  Raises ValueError unless ``support_slack`` is
     nonnegative and finite, and DimensionMismatchError unless the network
@@ -276,8 +279,10 @@ def estimate_from_row_space(data: LabeledDataset, pre, act, z, v, span,
     support = np.abs(z - m) <= support_slack * m
     sigma_int = sigma.astype(np.int8)
     lambdas = np.zeros(data.size)
-    if not support.any():
-        return KktReport(m, (), lambdas, 1.0, sigma_int, residual_method="empty-support")
+    # At m = 0 the margin problem has no stationarity condition to test.
+    if m == 0.0 or not support.any():
+        return KktReport(m, (), lambdas, 1.0, sigma_int,
+                         residual_method="zero-margin" if m == 0.0 else "empty-support")
 
     idx = np.nonzero(support)[0]
     s_x = data.points[idx]

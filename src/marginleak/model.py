@@ -9,8 +9,10 @@ convention that every CSV and JSON file of the package follows.
 """
 from __future__ import annotations
 
+import base64
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, FileFormatError
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 # A neuron only defines a breakpoint when its input weight is meaningfully
 # nonzero; below this (relative) threshold -b/w is numerically meaningless.
@@ -280,7 +282,7 @@ def to_piecewise_linear(net: NetworkParams) -> PiecewiseLinear:
 # the csv module would write the same bytes.  Readers skip blank lines and
 # lines starting with "#".  A JSON document is written with indent=1 and a
 # trailing newline, NaN and infinities as NaN/Infinity; the model document
-# is rendered directly with the same bytes (see save_network).  The helpers
+# holds its arrays as base64 float64 bytes (see save_network).  The helpers
 # are underscore-named so that their time counts toward the public reader
 # or writer calling them.
 
@@ -322,39 +324,76 @@ def _write_json(path, doc) -> None:
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
 
-def save_network(net: NetworkParams, path) -> None:
-    """Write the versioned model document (JSON, full round-trip precision).
+def _encode_array(a: np.ndarray) -> str:
+    """Base64 of the little-endian float64 bytes of ``a``, in C order."""
+    return base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode("ascii")
 
-    The bytes are those of ``json.dumps(doc, indent=1)`` plus a newline,
-    rendered directly: json writes a finite float with ``float.__repr__``,
-    and every parameter is finite.
+
+def _decode_array(doc, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The array :func:`_encode_array` wrote under ``doc[key]``, of ``shape``."""
+    try:
+        raw = base64.b64decode(doc[key], validate=True)
+    except (TypeError, ValueError) as exc:
+        raise FileFormatError(f"{key} is not base64 text: {exc}") from exc
+    want = 8 * math.prod(shape)
+    if len(raw) != want:
+        raise FileFormatError(f"{key} holds {len(raw)} bytes, expected {want} for shape {shape}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape)
+
+
+def _positive_int(doc, key: str) -> int:
+    value = doc[key]
+    if type(value) is not int or value < 1:
+        raise FileFormatError(f"{key} must be an integer >= 1, got {value!r}")
+    return value
+
+
+def save_network(net: NetworkParams, path) -> None:
+    """Write the versioned model document (format 2, bit-exact).
+
+    Each array is stored as base64 of its little-endian IEEE-754 float64
+    bytes in C order: ``weights`` of shape (width, input_dim), ``biases`` and
+    ``out_weights`` of shape (width,).
     """
-    neurons = ",\n".join(
-        '  {\n   "w": [\n    ' + ",\n    ".join(map(repr, w.tolist()))
-        + f'\n   ],\n   "b": {b!r},\n   "v": {v!r}\n  }}'
-        for w, b, v in net.neurons()
-    )
-    Path(path).write_text(
-        f'{{\n "format_version": {MODEL_FORMAT_VERSION},\n "input_dim": {net.input_dim},\n'
-        f' "width": {net.width},\n "neurons": [\n{neurons}\n ]\n}}\n'
-    )
+    _write_json(path, {
+        "format_version": MODEL_FORMAT_VERSION,
+        "input_dim": net.input_dim,
+        "width": net.width,
+        "weights": _encode_array(net.weights),
+        "biases": _encode_array(net.biases),
+        "out_weights": _encode_array(net.out_weights),
+    })
+
+
+def _network_v1(doc) -> NetworkParams:
+    # Format 1: one {"w": [...], "b": ..., "v": ...} object per neuron.
+    net = NetworkParams.from_neurons((n["w"], n["b"], n["v"]) for n in doc["neurons"])
+    if net.input_dim != doc["input_dim"] or net.width != doc["width"]:
+        raise FileFormatError("declared input_dim/width do not match neurons")
+    return net
+
+
+def _network_v2(doc) -> NetworkParams:
+    d, k = _positive_int(doc, "input_dim"), _positive_int(doc, "width")
+    return NetworkParams(_decode_array(doc, "weights", (k, d)),
+                         _decode_array(doc, "biases", (k,)),
+                         _decode_array(doc, "out_weights", (k,)))
 
 
 def load_network(path) -> NetworkParams:
-    """Read a model document written by :func:`save_network`."""
+    """Read a model document of format 2 (:func:`save_network`) or format 1.
+
+    The file's own ``format_version`` picks the reader.  Any malformed
+    document, non-finite parameters included, raises :class:`FileFormatError`.
+    """
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON or text that is not UTF-8
         raise FileFormatError(f"not a valid model document: {exc}") from exc
     try:
-        if doc["format_version"] != MODEL_FORMAT_VERSION:
-            raise FileFormatError(
-                f"unsupported model format_version {doc['format_version']!r}"
-            )
-        neurons = [(n["w"], n["b"], n["v"]) for n in doc["neurons"]]
-        net = NetworkParams.from_neurons(neurons)
-        if net.input_dim != doc["input_dim"] or net.width != doc["width"]:
-            raise FileFormatError("declared input_dim/width do not match neurons")
+        version = doc["format_version"]
+        if type(version) is not int or version not in (1, MODEL_FORMAT_VERSION):
+            raise FileFormatError(f"unsupported model format_version {version!r}")
+        return _network_v1(doc) if version == 1 else _network_v2(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"malformed model document: {exc}") from exc
-    return net

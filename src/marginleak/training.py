@@ -75,7 +75,8 @@ class TrainConfig:
 class TraceRecord:
     """One checkpoint.  ``residual_method`` is the :class:`kkt.KktReport`
     method behind ``kkt_residual`` or, when the network output was zero on
-    every point, ``degenerate``; it and ``empty-support`` report residual 1.
+    every point, ``degenerate``; it, ``empty-support`` and ``zero-margin``
+    report residual 1.
     ``learning_rate`` is the step size the next step would take and
     ``refused_steps`` counts the steps refused so far.
     """

@@ -19,7 +19,7 @@ from marginleak.experiment import (
     write_margin_results_csv,
 )
 from kkt_constructions import opposite_pair_network
-from test_model import SPECIAL_FLOATS, same_bits
+from test_model import SPECIAL_FLOATS, encode, same_bits
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -614,6 +614,41 @@ class TestCli:
         ])
         assert code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["verify-kkt", "--data", "data.csv"],
+        ["attack", "reconstruct", "--margin", "0.5"],
+        ["attack", "membership", "--rule", "leaked-points", "--points", "data.csv"],
+    ], ids=lambda command: command[-3])
+    @pytest.mark.parametrize("case", [
+        "bad-base64", "one-float-short", "width-2.5", "width-true", "format-version-3",
+        "format-version-true", "encoded-nan",
+    ])
+    def test_malformed_model_exits_2(self, tmp_path, monkeypatch, capsys, command, case):
+        # A format-2 model of width 2 on d=1, spoiled one way.
+        monkeypatch.chdir(tmp_path)
+        doc = {"format_version": 2, "input_dim": 1, "width": 2,
+               "weights": encode([1.0, -1.0]), "biases": encode([0.0, 0.0]),
+               "out_weights": encode([1.0, 1.0])}
+        doc.update({
+            "bad-base64": {"weights": "AAAAAAAA8D8*AAAAAADwvw=="},
+            "one-float-short": {"weights": encode([1.0])},
+            "width-2.5": {"width": 2.5},
+            "width-true": {"width": True},
+            "format-version-3": {"format_version": 3},
+            "format-version-true": {"format_version": True},
+            "encoded-nan": {"out_weights": encode([1.0, float("nan")])},
+        }[case])
+        Path("model.json").write_text(json.dumps(doc))
+        ml.write_dataset_csv(
+            ml.LabeledDataset(np.array([[-1.0], [1.0]]), np.array([-1.0, 1.0])), "data.csv"
+        )
+        before = sorted(tmp_path.iterdir())
+        code = main([*command, "--model", "model.json", "--out", "out"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("rule", ["known-margin", "bounded-margin", "leaked-points"])

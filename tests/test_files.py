@@ -3,9 +3,10 @@
 The shared convention: an optional ``# ...`` metadata line ending in ``\\n``,
 then rows (header first) with the csv module's bytes, each ending in
 ``\\r\\n``, floats at full round-trip precision (``repr``); JSON documents are
-``indent=1`` with a trailing newline.  The dataset rows and the model document
-are rendered directly; ``test_model.py`` and ``test_distributions.py`` check
-their bytes against the csv and json modules on random values.
+``indent=1`` with a trailing newline, and the model document holds its arrays
+as base64 float64 bytes.  The dataset rows are rendered directly;
+``test_model.py`` and ``test_distributions.py`` check the dataset and model
+bytes against the csv and json modules on random values.
 """
 import math
 
@@ -131,10 +132,12 @@ def test_model_json(tmp_path):
     net = ml.NetworkParams(np.array([[0.5, -1.0]]), np.array([0.1]), np.array([-2.0]))
     path = tmp_path / "model.json"
     ml.save_network(net, path)
+    # Base64 of the little-endian float64 bytes: 0.5 and -1.0 are
+    # 00 00 00 00 00 00 e0 3f and 00 00 00 00 00 00 f0 bf.
     assert path.read_bytes() == (
-        b'{\n "format_version": 1,\n "input_dim": 2,\n "width": 1,\n "neurons": [\n'
-        b'  {\n   "w": [\n    0.5,\n    -1.0\n   ],\n   "b": 0.1,\n   "v": -2.0\n  }\n'
-        b' ]\n}\n'
+        b'{\n "format_version": 2,\n "input_dim": 2,\n "width": 1,\n'
+        b' "weights": "AAAAAAAA4D8AAAAAAADwvw==",\n "biases": "mpmZmZmZuT8=",\n'
+        b' "out_weights": "AAAAAAAAAMA="\n}\n'
     )
 
 

@@ -401,6 +401,23 @@ class TestResidualMethod:
         assert report.residual_method == "empty-support"
         assert report.stationarity_residual == 1.0
 
+    def test_zero_margin_has_its_own_method(self):
+        # README's quick start at rng_seed=0: no neuron ever activates at
+        # x = -1, so that point stays at output 0 and the margin is 0.
+        data = ml.LabeledDataset(np.array([[-1.0], [1.0]]), np.array([-1.0, 1.0]))
+        cfg = ml.TrainConfig(width=8, init_scale=1e-2, learning_rate=1e-2, max_steps=4000,
+                             loss_target=1e-8, kkt_residual_target=1e-3, rng_seed=0)
+        net, trace = ml.train(data, cfg)
+        assert trace.stop_reason == "max-steps"
+        assert {(r.residual_method, r.kkt_residual) for r in trace.records} == {
+            ("zero-margin", 1.0)}
+        report = ml.analyze(net, data)
+        assert report.margin == 0.0
+        assert report.support_indices == ()
+        assert report.stationarity_residual == 1.0
+        assert report.residual_method == "zero-margin"
+        np.testing.assert_array_equal(report.lambdas, 0.0)
+
 
 class TestDiagnosticBounds:
     def test_zero_duals_trivially_respect_upper_bound(self):

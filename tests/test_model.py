@@ -1,4 +1,6 @@
+import base64
 import json
+import struct
 
 import hypothesis
 import numpy as np
@@ -219,14 +221,20 @@ class TestModelFile:
         np.testing.assert_array_equal(back.out_weights, net.out_weights)
 
     def test_document_keys(self, tmp_path):
-        net = net_1d([([1.0], 0.5, -2.0)])
+        net = ml.NetworkParams(np.array([[0.5, -1.0], [2.0, 3.0]]), np.array([0.1, 0.2]),
+                               np.array([-2.0, 4.0]))
         path = tmp_path / "model.json"
         ml.save_network(net, path)
         doc = json.loads(path.read_text())
-        assert set(doc) == {"format_version", "input_dim", "width", "neurons"}
-        assert doc["format_version"] == 1
-        assert doc["input_dim"] == 1 and doc["width"] == 1
-        assert doc["neurons"] == [{"w": [1.0], "b": 0.5, "v": -2.0}]
+        assert set(doc) == {"format_version", "input_dim", "width", "weights", "biases",
+                            "out_weights"}
+        assert doc["format_version"] == 2
+        assert doc["input_dim"] == 2 and doc["width"] == 2
+        # README's one-line decode; the weights are in C order.
+        weights = np.frombuffer(base64.b64decode(doc["weights"]), "<f8").reshape(2, 2)
+        assert weights.tolist() == [[0.5, -1.0], [2.0, 3.0]]
+        assert np.frombuffer(base64.b64decode(doc["biases"]), "<f8").tolist() == [0.1, 0.2]
+        assert np.frombuffer(base64.b64decode(doc["out_weights"]), "<f8").tolist() == [-2.0, 4.0]
 
     def test_malformed_file_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -247,6 +255,19 @@ class TestModelFile:
         )
         with pytest.raises(ml.FileFormatError):
             ml.load_network(path)
+        path.write_text(
+            json.dumps(
+                {"format_version": 2, "input_dim": 2, "width": 1, "weights": encode([1.0]),
+                 "biases": encode([0.0]), "out_weights": encode([1.0])}
+            )
+        )
+        with pytest.raises(ml.FileFormatError, match="weights holds 8 bytes, expected 16"):
+            ml.load_network(path)
+
+
+def encode(values) -> str:
+    """Base64 of little-endian float64 ``values``, packed by ``struct``."""
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
 
 
 # Exact-bits cases for the model and dataset file round trips: the smallest
@@ -278,11 +299,22 @@ def test_model_file_matches_json_module_and_round_trips(tmp_path, d, k, values):
     path = tmp_path / "model.json"
     ml.save_network(net, path)
     doc = {
+        "format_version": 2, "input_dim": d, "width": k,
+        "weights": encode(net.weights.ravel().tolist()),
+        "biases": encode(net.biases.tolist()),
+        "out_weights": encode(net.out_weights.tolist()),
+    }
+    assert path.read_bytes() == (json.dumps(doc, indent=1) + "\n").encode()
+    # The format-1 document of the same network, as format-1 writers wrote
+    # it, loads to the same bits too.
+    v1 = {
         "format_version": 1, "input_dim": d, "width": k,
         "neurons": [{"w": list(map(float, w)), "b": b, "v": v} for w, b, v in net.neurons()],
     }
-    assert path.read_bytes() == (json.dumps(doc, indent=1) + "\n").encode()
-    back = ml.load_network(path)
-    assert same_bits(back.weights, net.weights)
-    assert same_bits(back.biases, net.biases)
-    assert same_bits(back.out_weights, net.out_weights)
+    v1_path = tmp_path / "model_v1.json"
+    v1_path.write_text(json.dumps(v1, indent=1) + "\n")
+    for written in (path, v1_path):
+        back = ml.load_network(written)
+        assert same_bits(back.weights, net.weights)
+        assert same_bits(back.biases, net.biases)
+        assert same_bits(back.out_weights, net.out_weights)
