@@ -47,7 +47,6 @@ from .membership import (
     evaluate_attack,
     membership_scores,
     membership_verdicts,
-    write_evaluation_csv,
 )
 from .model import (
     LabeledDataset,
@@ -63,15 +62,12 @@ from .reconstruct import (
     IntervalAnalysis,
     analyze_intervals,
     build_candidate_set,
-    interval_lemma_audit,
     recover_single,
     write_candidates_csv,
 )
 from .training import (
-    Gradient,
     TrainConfig,
     TrainTrace,
-    gradient,
     init_small,
     loss,
     train,

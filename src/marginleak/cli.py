@@ -9,6 +9,7 @@ directory.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import math
@@ -144,10 +145,13 @@ def _cmd_attack_reconstruct(args) -> int:
 
 def _read_scores_csv(path) -> tuple[list[str], np.ndarray]:
     """(point ids, scores) of a scores file; scores are |Phi(x)|: finite, nonnegative."""
-    header, rows = _read_csv(path)
+    try:
+        header, lines = _read_csv(path)
+        rows = list(csv.reader(lines))
+    except ValueError as exc:  # text that is not UTF-8
+        raise FileFormatError(f"unreadable scores file: {exc}") from exc
     if header is None or header[:2] != ["point_id", "score"]:
         raise FileFormatError("scores file must have header point_id,score")
-    rows = list(rows)
     if not rows:
         raise FileFormatError("scores file has no rows")
     try:

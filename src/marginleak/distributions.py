@@ -7,6 +7,7 @@ measures how close a concrete sample comes to that regime.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -182,24 +183,26 @@ def write_dataset_csv(data: LabeledDataset, path) -> None:
 
 def read_dataset_csv(path) -> LabeledDataset:
     """Read a dataset written by :func:`write_dataset_csv`."""
-    header, rows = _read_csv(path)
-    if header is None:
-        raise FileFormatError("dataset file has no rows")
-    if not header or header[-1] != "label" or any(
-        col != f"x{i}" for i, col in enumerate(header[:-1])
-    ):
-        raise FileFormatError(f"unexpected dataset header: {header}")
-    d = len(header) - 1
-    body = []
     try:
-        for row in rows:
-            if len(row) != d + 1:
-                raise FileFormatError(f"row has {len(row)} fields, expected {d + 1}")
-            # numpy parses each cell as float() does, errors included.
-            body.append(np.array(row, dtype=float))
-    except ValueError as exc:
-        raise FileFormatError(f"non-numeric dataset entry: {exc}") from exc
-    body = np.array(body).reshape(-1, d + 1)
+        header, lines = _read_csv(path)
+        if header is None:
+            raise FileFormatError("dataset file has no rows")
+        if not header or header[-1] != "label" or any(
+            col != f"x{i}" for i, col in enumerate(header[:-1])
+        ):
+            raise FileFormatError(f"unexpected dataset header: {header}")
+        first = next(lines, None)
+        if first is None:  # checked here: loadtxt warns on an empty body
+            raise FileFormatError("dataset file has no data rows")
+        # numpy's C parser rejects every cell float() rejects, a "#" inside a
+        # row and a row with another field count; quoted cells parse as the
+        # csv module reads them.
+        body = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None,
+                          quotechar='"', ndmin=2)
+    except ValueError as exc:  # a malformed row, or text that is not UTF-8
+        raise FileFormatError(f"malformed dataset file: {exc}") from exc
+    if body.shape[1] != len(header):
+        raise FileFormatError(f"rows have {body.shape[1]} fields, expected {len(header)}")
     try:
         return LabeledDataset(body[:, :-1], body[:, -1])
     except ValueError as exc:

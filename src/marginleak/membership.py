@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNetworkError
-from .model import NetworkParams, _write_csv, forward_batch
+from .model import NetworkParams, forward_batch
 
 RULES = ("known-margin", "leaked-points", "bounded-margin")
 
@@ -129,14 +129,4 @@ def evaluate_attack(
         rule=rule,
         rows=tuple(map(EvaluationRow, point_ids, scores.tolist(),
                        [True] * n_m + [False] * n_f, verdicts.tolist())),
-    )
-
-
-def write_evaluation_csv(evaluation: AttackEvaluation, path) -> None:
-    """Write per-point results as CSV: point_id,score,truth,verdict,rule."""
-    _write_csv(
-        path,
-        ["point_id", "score", "truth", "verdict", "rule"],
-        ([row.point_id, row.score, int(row.truth), int(row.verdict), evaluation.rule]
-         for row in evaluation.rows),
     )

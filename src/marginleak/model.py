@@ -90,17 +90,6 @@ class NetworkParams:
             vs.append(float(v))
         return cls(np.array(ws, dtype=float), np.array(bs), np.array(vs))
 
-    def neurons(self):
-        """Iterate over (w, b, v) triples."""
-        for j in range(self.width):
-            yield self.weights[j], float(self.biases[j]), float(self.out_weights[j])
-
-    def scaled(self, factor: float) -> "NetworkParams":
-        """Multiply every parameter by ``factor`` (output scales by factor**2)."""
-        return NetworkParams(
-            self.weights * factor, self.biases * factor, self.out_weights * factor
-        )
-
 
 @dataclass(frozen=True)
 class LabeledDataset:
@@ -306,18 +295,20 @@ def _write_number_csv(path, header, rows, comment: str) -> None:
 
 
 def _read_csv(path):
-    """(header, rows) of a CSV file, skipping blank and ``#`` lines.
+    """(header, lines) of a CSV file, skipping blank and ``#`` lines.
 
-    ``rows`` iterates over the remaining rows as lists of strings; ``header``
-    is None when no line is left.  The file is read one line at a time and
-    closed once the rows are exhausted (or ``rows`` is discarded).
+    ``header`` is the first remaining row as a list of strings, None when no
+    line is left; ``lines`` iterates over the text of the lines after it.
+    The file is read one line at a time and closed once ``lines`` is
+    exhausted (or discarded).  Text that is not UTF-8 raises
+    ``UnicodeDecodeError``, a ``ValueError``, from either.
     """
     def lines():
         with Path(path).open() as fh:
             yield from (ln for ln in fh if ln.strip() and not ln.startswith("#"))
 
-    reader = csv.reader(lines())
-    return next(reader, None), reader
+    rest = lines()
+    return next(csv.reader(rest), None), rest
 
 
 def _write_json(path, doc) -> None:

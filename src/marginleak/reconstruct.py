@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNetworkError, DimensionMismatchError
-from .kkt import KktReport
-from .model import LabeledDataset, NetworkParams, PiecewiseLinear, _write_csv
+from .model import NetworkParams, PiecewiseLinear, _write_csv
 
 GUARANTEED_FRACTION = 0.25
 
@@ -180,66 +179,6 @@ def build_candidate_set(pl: PiecewiseLinear, m: float) -> CandidateSet:
         degenerate=False,
         window_crossing_counts=tuple(window_counts),
         ambiguous_windows=tuple(ambiguous),
-    )
-
-
-@dataclass(frozen=True)
-class IntervalLemmaAudit:
-    """Breakpoint counts between margin points and total margin crossings.
-
-    At an exact stationary point each closed interval between consecutive
-    margin training points holds at most 2 breakpoints, and the margin levels
-    are crossed at most 6n times overall.
-    """
-
-    support_points: tuple[float, ...]
-    gap_counts: tuple[int, ...]
-    gap_bound: int
-    gaps_ok: bool
-    crossing_count: int
-    crossing_bound: int
-    crossings_ok: bool
-
-
-def interval_lemma_audit(
-    pl: PiecewiseLinear,
-    data: LabeledDataset,
-    report: KktReport,
-) -> IntervalLemmaAudit:
-    """Diagnostic check of the breakpoint and crossing-count bounds.
-
-    Uses the true training set (self-evaluation only).  Gaps run between
-    consecutive support points of the report; crossing locations are deduped
-    within the candidate merge radius.
-    """
-    if data.dim != 1:
-        raise DimensionMismatchError("interval audit needs univariate data")
-    support_x = sorted(float(data.points[i, 0]) for i in report.support_indices)
-
-    gap_counts = []
-    for a, b in zip(support_x[:-1], support_x[1:]):
-        count = int(np.sum((pl.breakpoints >= a) & (pl.breakpoints <= b)))
-        gap_counts.append(count)
-
-    crossings = [
-        (x, "crossing")
-        for seg in analyze_intervals(pl, report.margin) for x in seg.crossings
-    ]
-    radius = MERGE_REL_TOL * (
-        float(pl.breakpoints[-1] - pl.breakpoints[0]) if pl.breakpoints.size > 1 else 1.0
-    )
-    distinct = len(_merge_candidates(crossings, radius)[0])
-
-    n_support = len(support_x)
-    crossing_bound = 6 * n_support
-    return IntervalLemmaAudit(
-        support_points=tuple(support_x),
-        gap_counts=tuple(gap_counts),
-        gap_bound=2,
-        gaps_ok=all(c <= 2 for c in gap_counts),
-        crossing_count=distinct,
-        crossing_bound=crossing_bound,
-        crossings_ok=distinct <= crossing_bound,
     )
 
 

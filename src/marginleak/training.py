@@ -18,7 +18,6 @@ from .errors import DegenerateNetworkError, TrainingDivergedError
 from .model import (
     LabeledDataset,
     NetworkParams,
-    _check_inputs,
     _forward_arrays,
     _write_csv,
     forward_batch,
@@ -112,9 +111,6 @@ class TrainTrace:
     first_step_below_1_over_n: int | None = None
     stop_reason: str = "unfinished"
 
-    def losses(self) -> np.ndarray:
-        return np.array([r.loss for r in self.records])
-
     def final(self) -> TraceRecord:
         return self.records[-1]
 
@@ -149,15 +145,6 @@ def loss(net: NetworkParams, data: LabeledDataset, kind: str = "exponential") ->
     return float(np.mean(loss_values(z, kind)))
 
 
-@dataclass(frozen=True)
-class Gradient:
-    """Loss gradient, shaped like the parameters."""
-
-    weights: np.ndarray
-    biases: np.ndarray
-    out_weights: np.ndarray
-
-
 def _gradient_arrays(out, nys, act, nz, per, v, kind: str):
     """(G, d/dv) of the mean loss, written into ``out`` = [G; d/dv] of shape (n+1, k).
 
@@ -174,20 +161,6 @@ def _gradient_arrays(out, nys, act, nz, per, v, kind: str):
     g *= coeff[:, None]
     g *= v
     return g, np.dot(act.T, coeff, out=out[n])
-
-
-def gradient(net: NetworkParams, data: LabeledDataset, kind: str = "exponential") -> Gradient:
-    """Analytic gradient of the mean loss.
-
-    The ReLU subgradient is taken to be 0 at exact kinks (active iff the
-    pre-activation is strictly positive), matching the rest of the package.
-    """
-    xs = _check_inputs(net, data.points)
-    _, act, out = _forward_arrays(xs @ net.weights.T, net.biases, net.out_weights)
-    z = data.labels * out
-    g, g_v = _gradient_arrays(np.empty((data.size + 1, net.width)), -data.labels, act, -z,
-                              loss_values(z, kind), net.out_weights, kind)
-    return Gradient(g.T @ xs, g.sum(axis=0), g_v)
 
 
 def init_small(d: int, k: int, scale: float, seed: int) -> NetworkParams:

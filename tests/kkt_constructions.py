@@ -24,6 +24,11 @@ def parameter_vector(params) -> np.ndarray:
     return np.concatenate([params.weights.ravel(), params.biases, params.out_weights])
 
 
+def scaled(net: NetworkParams, factor: float) -> NetworkParams:
+    """Every parameter times ``factor``; the output scales by factor**2."""
+    return NetworkParams(net.weights * factor, net.biases * factor, net.out_weights * factor)
+
+
 def params_from_vector(vec: np.ndarray, input_dim: int, width: int) -> NetworkParams:
     """Inverse of :func:`parameter_vector`."""
     vec = np.asarray(vec, dtype=float)

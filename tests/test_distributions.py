@@ -190,6 +190,16 @@ class TestDatasetCsv:
         with pytest.raises(ml.FileFormatError):
             ml.read_dataset_csv(path)
 
+    @pytest.mark.parametrize("body, points, labels", [
+        ('x0,label\n"0.5",1\n', [[0.5]], [1.0]),
+        ("x0,label\n\n# a note\n0.5,1\n  \n# another\n-0.5,-1\n", [[0.5], [-0.5]], [1.0, -1.0]),
+    ], ids=["quoted-cell", "blank-and-comment-lines-between-rows"])
+    def test_accepted_layouts(self, tmp_path, body, points, labels):
+        path = tmp_path / "data.csv"
+        path.write_text(body)
+        data = ml.read_dataset_csv(path)
+        assert data.points.tolist() == points and data.labels.tolist() == labels
+
     @pytest.mark.parametrize("body", [
         "x0,x1,label\n0.5,1.0,1\n0.5,1\n",
         "x0,x1,label\nnan,1.0,1\n",
@@ -197,8 +207,9 @@ class TestDatasetCsv:
         "x0,x1,label\n1e309,1.0,1\n",
         "x0,x1,label\n0.5,1.0,yes\n",
         "# labeled-dataset d=2 n=0\nx0,x1,label\n",
+        "x0,x1,label\n0.5,1.0,1 # not a comment\n",
     ], ids=["ragged-row", "nan-cell", "inf-cell", "overflowing-cell", "non-numeric-label",
-            "no-data-rows"])
+            "no-data-rows", "hash-inside-row"])
     def test_malformed_file_rejected_and_train_exits_2(self, tmp_path, capsys, body):
         path = tmp_path / "bad.csv"
         path.write_text(body)

@@ -601,6 +601,23 @@ class TestCli:
         assert err == ["error: inputs have shape (4, 1), network expects (n, 3)"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["train", "--data"],
+        ["verify-kkt", "--model", "model.json", "--data"],
+        ["attack", "membership", "--rule", "leaked-points", "--model", "model.json", "--points"],
+        ["attack", "membership", "--rule", "leaked-points", "--scores"],
+    ], ids=["train", "verify-kkt", "membership-points", "membership-scores"])
+    def test_file_not_utf8_exits_2(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        ml.save_network(ml.NetworkParams(np.ones((1, 1)), np.zeros(1), np.ones(1)), "model.json")
+        Path("bad.csv").write_bytes(b"\xff\xfe\x00garbage")
+        before = sorted(tmp_path.iterdir())
+        code = main([*command, "bad.csv", "--out-dir", "out"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert sorted(tmp_path.iterdir()) == before
+
     @pytest.mark.parametrize("scores", [["nan", "1.0", "0.9"], ["-5", "-1"], ["1.0", "inf"]],
                              ids=lambda scores: scores[0])
     def test_bad_scores_exit_2(self, tmp_path, scores):

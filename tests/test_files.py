@@ -16,7 +16,6 @@ import marginleak as ml
 from marginleak import experiment, kkt
 from marginleak.model import _read_csv
 from marginleak.cli import main
-from marginleak.membership import AttackEvaluation, EvaluationRow
 from marginleak.training import TraceRecord, TrainTrace
 
 
@@ -57,20 +56,6 @@ def test_candidates_csv(tmp_path):
         b"x,provenance\r\n"
         b"-0.75,crossing\r\n"
         b"0.1,flat-boundary\r\n"
-    )
-
-
-def test_evaluation_csv(tmp_path):
-    ev = AttackEvaluation(1, 0, 1, 0, 1.0, 1.0, 0.0, 1.0, "known-margin", (
-        EvaluationRow("member-0", 1.5, True, True),
-        EvaluationRow("fresh-0", 0.1, False, False),
-    ))
-    path = tmp_path / "evaluation.csv"
-    ml.write_evaluation_csv(ev, path)
-    assert path.read_bytes() == (
-        b"point_id,score,truth,verdict,rule\r\n"
-        b"member-0,1.5,1,1,known-margin\r\n"
-        b"fresh-0,0.1,0,0,known-margin\r\n"
     )
 
 
@@ -198,9 +183,9 @@ def test_cli_check_dist_json(tmp_path, capsys):
 def test_read_csv_skips_blank_and_comment_lines(tmp_path):
     path = tmp_path / "t.csv"
     path.write_bytes(b"# meta\n\na,b\r\n  \r\n# note\n1,2.5\r\n\n3,x\n")
-    header, rows = _read_csv(path)
+    header, lines = _read_csv(path)
     assert header == ["a", "b"]
-    assert list(rows) == [["1", "2.5"], ["3", "x"]]
+    assert list(lines) == ["1,2.5\n", "3,x\n"]
     path.write_text("# only a comment\n\n")
-    header, rows = _read_csv(path)
-    assert header is None and list(rows) == []
+    header, lines = _read_csv(path)
+    assert header is None and list(lines) == []

@@ -12,6 +12,7 @@ from kkt_constructions import (
     margin_values,
     opposite_pair_network,
     reference_estimate_lambdas,
+    scaled,
     shared_pattern_network,
     single_point_network,
     verify_stationarity,
@@ -98,10 +99,10 @@ class TestEstimateLambdas:
             np.random.default_rng(0).normal(size=(3, 40)), [1.0, 0.7]
         )
         base = ml.estimate_lambdas(net, data)
-        scaled = ml.estimate_lambdas(net.scaled(2.0), data)
-        assert scaled.margin == pytest.approx(4.0 * base.margin, rel=1e-9)
-        assert scaled.support_indices == base.support_indices
-        np.testing.assert_allclose(scaled.lambdas, base.lambdas, rtol=1e-6)
+        rescaled = ml.estimate_lambdas(scaled(net, 2.0), data)
+        assert rescaled.margin == pytest.approx(4.0 * base.margin, rel=1e-9)
+        assert rescaled.support_indices == base.support_indices
+        np.testing.assert_allclose(rescaled.lambdas, base.lambdas, rtol=1e-6)
 
     def test_sigma_primes_strict_convention(self):
         net, data, _, _ = single_point_network([1.0], 1.0, [1.0])

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import marginleak as ml
-from marginleak.membership import score_auc
-from kkt_constructions import shared_pattern_network
+from marginleak.membership import EvaluationRow, score_auc
+from kkt_constructions import scaled, shared_pattern_network
 
 
 def zero_network(d=2):
@@ -65,7 +65,7 @@ class TestKnownMargin:
         factor = 3.0
         xs = [0.3, 0.5, 0.9]
         _, a = verdicts("known-margin", xs, net, margin=1.0)
-        _, b = verdicts("known-margin", xs, net.scaled(factor), margin=factor**2 * 1.0)
+        _, b = verdicts("known-margin", xs, scaled(net, factor), margin=factor**2 * 1.0)
         assert a.tolist() == b.tolist() == [False, True, True]
 
 
@@ -199,16 +199,17 @@ class TestDecide:
             ml.membership_verdicts("no-such-rule", np.ones(2))
 
 
-def test_evaluation_csv(tmp_path):
+def test_evaluation_rows():
     ev = ml.evaluate_attack(
-        scoring_network(), np.array([[1.0]]), np.array([[0.0]]), "known-margin", margin=1.0
+        scoring_network(), np.array([[1.0], [0.2]]), np.array([[0.0], [0.7]]),
+        "known-margin", margin=1.0,
     )
-    path = tmp_path / "eval.csv"
-    ml.write_evaluation_csv(ev, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "point_id,score,truth,verdict,rule"
-    assert lines[1] == "member-0,1.0,1,1,known-margin"
-    assert lines[2] == "fresh-0,0.0,0,0,known-margin"
+    assert ev.rows == (
+        EvaluationRow("member-0", 1.0, True, True),
+        EvaluationRow("member-1", 0.2, True, False),
+        EvaluationRow("fresh-0", 0.0, False, False),
+        EvaluationRow("fresh-1", 0.7, False, True),
+    )
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 import marginleak as ml
-from kkt_constructions import params_from_vector
+from kkt_constructions import params_from_vector, scaled
 
 
 def net_1d(neurons):
@@ -54,7 +54,8 @@ class TestForward:
         xs = rng.normal(size=(10, 3))
         batch = ml.forward_batch(net, xs)
         for i, x in enumerate(xs):
-            want = sum(v * max(0.0, float(w @ x) + b) for w, b, v in net.neurons())
+            want = sum(v * max(0.0, float(w @ x) + b)
+                       for w, b, v in zip(net.weights, net.biases, net.out_weights))
             assert batch[i] == pytest.approx(want, rel=1e-12)
 
 
@@ -158,8 +159,8 @@ def test_scaling_parameters_squares_the_output(seed, k, factor):
     net = random_network(rng, int(rng.integers(1, 4)), k)
     x = rng.normal(size=(1, net.input_dim))
     base = ml.forward_batch(net, x)[0]
-    scaled = ml.forward_batch(net.scaled(factor), x)[0]
-    assert scaled == pytest.approx(factor**2 * base, rel=1e-9, abs=1e-12)
+    out = ml.forward_batch(scaled(net, factor), x)[0]
+    assert out == pytest.approx(factor**2 * base, rel=1e-9, abs=1e-12)
 
 
 @hypothesis.settings(deadline=None, max_examples=25)
@@ -309,7 +310,8 @@ def test_model_file_matches_json_module_and_round_trips(tmp_path, d, k, values):
     # it, loads to the same bits too.
     v1 = {
         "format_version": 1, "input_dim": d, "width": k,
-        "neurons": [{"w": list(map(float, w)), "b": b, "v": v} for w, b, v in net.neurons()],
+        "neurons": [{"w": list(map(float, w)), "b": float(b), "v": float(v)}
+                    for w, b, v in zip(net.weights, net.biases, net.out_weights)],
     }
     v1_path = tmp_path / "model_v1.json"
     v1_path.write_text(json.dumps(v1, indent=1) + "\n")

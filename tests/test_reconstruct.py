@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import marginleak as ml
-from kkt_constructions import opposite_pair_network
+from kkt_constructions import scaled
 
 
 def v_shape_network():
@@ -127,10 +127,10 @@ class TestBuildCandidateSet:
         net = v_shape_network()
         factor = 2.0
         base = ml.build_candidate_set(ml.to_piecewise_linear(net), 0.5)
-        scaled = ml.build_candidate_set(
-            ml.to_piecewise_linear(net.scaled(factor)), 0.5 * factor**2
+        rescaled = ml.build_candidate_set(
+            ml.to_piecewise_linear(scaled(net, factor)), 0.5 * factor**2
         )
-        np.testing.assert_allclose(scaled.points, base.points, atol=1e-12)
+        np.testing.assert_allclose(rescaled.points, base.points, atol=1e-12)
 
     def test_guaranteed_fraction_constant(self):
         pl = ml.to_piecewise_linear(v_shape_network())
@@ -148,49 +148,9 @@ class TestBuildCandidateSet:
         assert cs.ambiguous_windows == (0,)
         assert 1.0 in cs.points and 2.0 in cs.points
 
-
-class TestIntervalLemmaAudit:
-    def fabricate_report(self, margin, support):
-        return ml.KktReport(
-            margin=margin,
-            support_indices=support,
-            lambdas=np.zeros(len(support)),
-            stationarity_residual=0.0,
-            sigma_primes=np.zeros((len(support), 1), dtype=np.int8),
-        )
-
-    def test_single_breakpoint_in_gap_passes(self):
-        pl = ml.PiecewiseLinear(
-            np.array([0.5]), np.array([0.0, 2.0]), np.array([1.0, 0.0])
-        )
-        data = ml.LabeledDataset(np.array([[0.0], [1.0]]), np.array([1.0, 1.0]))
-        audit = ml.interval_lemma_audit(pl, data, self.fabricate_report(1.0, (0, 1)))
-        assert audit.gap_counts == (1,)
-        assert audit.gaps_ok
-
-    def test_three_breakpoints_in_gap_flagged(self):
-        pl = ml.PiecewiseLinear(
-            np.array([0.2, 0.4, 0.6]),
-            np.array([0.0, 1.0, -1.0, 0.0]),
-            np.array([1.0, 0.8, 1.6, 1.0]),
-        )
-        data = ml.LabeledDataset(np.array([[0.0], [1.0]]), np.array([1.0, 1.0]))
-        audit = ml.interval_lemma_audit(pl, data, self.fabricate_report(1.0, (0, 1)))
-        assert audit.gap_counts == (3,)
-        assert not audit.gaps_ok
-
-    def test_constructed_stationary_network_passes(self):
-        net, data, lam, m = opposite_pair_network([1.0], k_pos=2, k_neg=1)
-        report = ml.estimate_lambdas(net, data)
-        pl = ml.to_piecewise_linear(net)
-        audit = ml.interval_lemma_audit(pl, data, report)
-        assert audit.gaps_ok
-        assert audit.crossings_ok
-        assert audit.crossing_bound == 6 * len(audit.support_points)
-
-    def test_crossing_count_matches_candidate_merge(self):
-        # Level 1 is crossed at eps/2, 3 eps/2 and 5 eps/2 and once more near
-        # x = 1/6.  The merge radius (1e-6 of the breakpoint range 2) lies
+    def test_crossing_merge_does_not_chain(self):
+        # Level 1 is crossed at eps/2, 3 eps/2 and 5 eps/2 and once more at
+        # 3 eps + (1 - 3 eps) / 6.  The merge radius (1e-6 of the breakpoint range 2) lies
         # between eps and 2 eps: the first crossing absorbs the second but
         # not the third, which a chain-merge would also have absorbed.
         eps = 1.5e-6
@@ -200,18 +160,11 @@ class TestIntervalLemmaAudit:
         intercepts = np.concatenate(
             [[0.5], ys[:-1] - slopes[1:-1] * xs[:-1], [0.5]]
         )
-        pl = ml.PiecewiseLinear(xs, slopes, intercepts)
-        data = ml.LabeledDataset(np.array([[-1.0], [1.0]]), np.array([1.0, 1.0]))
-        audit = ml.interval_lemma_audit(pl, data, self.fabricate_report(1.0, (0, 1)))
-        candidates = ml.build_candidate_set(pl, 1.0)
+        candidates = ml.build_candidate_set(ml.PiecewiseLinear(xs, slopes, intercepts), 1.0)
         assert candidates.provenance == ("crossing",) * 3
-        assert audit.crossing_count == len(candidates) == 3
-
-    def test_needs_univariate_data(self):
-        pl = ml.PiecewiseLinear(np.empty(0), np.array([0.0]), np.array([0.0]))
-        data = ml.LabeledDataset(np.zeros((2, 2)), np.array([1.0, -1.0]))
-        with pytest.raises(ml.DimensionMismatchError):
-            ml.interval_lemma_audit(pl, data, self.fabricate_report(1.0, ()))
+        np.testing.assert_allclose(
+            candidates.points, [eps / 2, 5 * eps / 2, 3 * eps + (1 - 3 * eps) / 6], rtol=1e-9
+        )
 
 
 def test_candidates_csv(tmp_path):

