@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Subcommands: train, verify-kkt, attack reconstruct, attack membership,
-check-dist, experiment margin, experiment reconstruct.  Exit codes: 0 on
-success, 2 for usage errors and malformed files, 1 for runtime failures.
-The MARGINLEAK_OUT_DIR environment variable supplies the default output
-directory.
+check-dist, sample-dataset, experiment margin, experiment reconstruct.  Exit
+codes: 0 on success, 2 for usage errors and malformed files, 1 for runtime
+failures.  A command that writes one file names it with --out, by default its
+usual file name in the working directory (check-dist writes one only when
+given --out).  The commands that write several files, train and the
+experiments, take --out-dir, by default the working directory.
 """
 from __future__ import annotations
 
@@ -13,7 +15,6 @@ import csv
 import dataclasses
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -33,22 +34,14 @@ from .model import (
     _read_csv, _write_csv, _write_json, load_network, save_network, to_piecewise_linear,
 )
 
-OUT_DIR_ENV = "MARGINLEAK_OUT_DIR"
-
-
 def _out_dir(given) -> Path:
-    """``given``, else $MARGINLEAK_OUT_DIR, else ".", created if missing."""
-    path = Path(given or os.environ.get(OUT_DIR_ENV) or ".")
+    """``given``, else ".", created if missing."""
+    path = Path(given or ".")
     try:
         path.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError) as exc:
         raise FileFormatError(f"output directory {path} is not a directory") from exc
     return path
-
-
-def _out_path(args, given, name: str) -> Path:
-    """The path a flag gave, else ``name`` in the default output directory."""
-    return Path(given) if given else _out_dir(args.out_dir) / name
 
 
 def _positive_finite(text: str) -> float:
@@ -93,8 +86,8 @@ def _train_config(args) -> training.TrainConfig:
 def _cmd_train(args) -> int:
     data = read_dataset_csv(args.data)
     net, trace = training.train(data, _train_config(args))
-    model_path = _out_path(args, args.out_model, "model.json")
-    trace_path = _out_path(args, args.out_trace, "trace.csv")
+    model_path = Path(args.out_model or _out_dir(args.out_dir) / "model.json")
+    trace_path = Path(args.out_trace or _out_dir(args.out_dir) / "trace.csv")
     save_network(net, model_path)
     training.write_trace_csv(trace, trace_path)
     final = trace.final()
@@ -111,13 +104,12 @@ def _cmd_verify_kkt(args) -> int:
     net = load_network(args.model)
     data = read_dataset_csv(args.data)
     report = kkt.analyze(net, data, support_slack=args.slack, loss_kind=args.loss)
-    out_path = _out_path(args, args.out, "kkt_report.json")
-    kkt.write_report(report, out_path)
+    kkt.write_report(report, args.out)
     print(
         f"margin={report.margin:.6g} support={len(report.support_indices)}/{data.size} "
         f"stationarity_residual={report.stationarity_residual:.3e}"
     )
-    print(f"wrote {out_path}")
+    print(f"wrote {args.out}")
     return 0
 
 
@@ -135,11 +127,10 @@ def _cmd_attack_reconstruct(args) -> int:
         raise FileFormatError("attack reconstruct needs --margin or --data")
     pl = to_piecewise_linear(net)
     candidates = reconstruct.build_candidate_set(pl, m)
-    out_path = _out_path(args, args.out, "candidates.csv")
-    reconstruct.write_candidates_csv(candidates, out_path)
+    reconstruct.write_candidates_csv(candidates, args.out)
     note = " (degenerate: fewer than 3 breakpoints)" if candidates.degenerate else ""
     print(f"margin={m:.6g} candidates={len(candidates)}{note}")
-    print(f"wrote {out_path}")
+    print(f"wrote {args.out}")
     return 0
 
 
@@ -183,9 +174,8 @@ def _cmd_attack_membership(args) -> int:
     except ValueError as exc:
         raise FileFormatError(str(exc)) from exc
 
-    out_path = _out_path(args, args.out, "verdicts.csv")
     _write_csv(
-        out_path,
+        args.out,
         ["point_id", "score", "verdict", "rule", "threshold"],
         ([pid, score, verdict, args.rule, threshold] for pid, score, verdict
          in zip(point_ids, scores.tolist(), verdicts.astype(int).tolist())),
@@ -194,7 +184,7 @@ def _cmd_attack_membership(args) -> int:
         f"rule={args.rule} threshold={threshold:.6g} "
         f"members={int(verdicts.sum())}/{len(point_ids)}"
     )
-    print(f"wrote {out_path}")
+    print(f"wrote {args.out}")
     return 0
 
 
@@ -220,7 +210,7 @@ def _cmd_check_dist(args) -> int:
 
 def _cmd_experiment_margin(args) -> int:
     cfg = experiment.config_from_file(args.config)
-    out = _out_dir(args.out_dir or cfg.out_dir)
+    out = _out_dir(args.out_dir)
     t0 = time.perf_counter()
     result = experiment.run_margin_experiment(cfg, log=print)
     meta = (
@@ -238,7 +228,7 @@ def _cmd_experiment_margin(args) -> int:
 
 def _cmd_experiment_reconstruct(args) -> int:
     cfg = experiment.config_from_file(args.config, overrides={"dims": (1,)})
-    out = _out_dir(args.out_dir or cfg.out_dir)
+    out = _out_dir(args.out_dir)
     t0 = time.perf_counter()
     reports = experiment.run_reconstruction_sweep(cfg, log=print)
     meta = (
@@ -261,9 +251,8 @@ def _cmd_sample_dataset(args) -> int:
         data = experiment._sample_labeled(args.dim, args.n, args.mean_coord, args.seed)
     except ValueError as exc:
         raise FileFormatError(str(exc)) from exc
-    out_path = _out_path(args, args.out, "dataset.csv")
-    write_dataset_csv(data, out_path)
-    print(f"wrote {out_path}")
+    write_dataset_csv(data, args.out)
+    print(f"wrote {args.out}")
     return 0
 
 
@@ -287,8 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--slack", type=_nonnegative_finite, default=kkt.DEFAULT_SUPPORT_SLACK)
     p.add_argument("--loss", choices=training.LOSS_KINDS, default="logistic")
-    p.add_argument("--out")
-    p.add_argument("--out-dir")
+    p.add_argument("--out", default="kkt_report.json")
     p.set_defaults(func=_cmd_verify_kkt)
 
     attack = sub.add_parser("attack", help="run a privacy attack")
@@ -298,8 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--margin", type=_positive_finite)
     p.add_argument("--data", help="derive the margin from this dataset instead")
-    p.add_argument("--out")
-    p.add_argument("--out-dir")
+    p.add_argument("--out", default="candidates.csv")
     p.set_defaults(func=_cmd_attack_reconstruct)
 
     p = attack_sub.add_parser("membership", help="threshold |Phi(x)| verdicts")
@@ -309,8 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", help="CSV point_id,score of precomputed scores")
     p.add_argument("--margin", type=_positive_finite)
     p.add_argument("--threshold", type=_positive_finite)
-    p.add_argument("--out")
-    p.add_argument("--out-dir")
+    p.add_argument("--out", default="verdicts.csv")
     p.set_defaults(func=_cmd_attack_membership)
 
     p = sub.add_parser("check-dist", help="near-orthogonality report for a sampler")
@@ -330,8 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mean-coord", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.add_argument("--out-dir")
+    p.add_argument("--out", default="dataset.csv")
     p.set_defaults(func=_cmd_sample_dataset)
 
     exp = sub.add_parser("experiment", help="run a configured sweep")
@@ -355,7 +340,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileFormatError, FileNotFoundError) as exc:
+    except (FileFormatError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MarginLeakError as exc:

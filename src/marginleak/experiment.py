@@ -71,7 +71,6 @@ class ExperimentConfig:
     mixture_mean_coord: float = 1.0
     recon_data_scheme: str = "uniform-random"
     recon_require_convergence: bool = False
-    out_dir: Path | None = None
 
     def __post_init__(self):
         try:
@@ -406,7 +405,6 @@ _TOML_FIELD_TYPES = {
     "str": ((str,), "a string", str),
     "bool": ((bool,), "a boolean", bool),
     "tuple[int, ...]": ((list,), "an array of integers", tuple),
-    "Path | None": ((str,), "a string", Path),
 }
 
 

@@ -10,21 +10,25 @@ import numpy as np
 
 # Outer (and per-pass inner) iteration cap of the active-set loop.
 MAX_ITER = 10_000
-# Relative to max(1, ||rhs||_inf): bounds the positive part of the dual
-# vector at the returned solution, and zeroes entries of x at or below it.
+# Relative tolerance.  Times ||rhs||_inf it bounds the positive part of the
+# dual vector at the returned solution; times max|x| it zeroes the entries of
+# x at or below it.  Both are relative, so the stops do not depend on the
+# scale of (A, b).
 TOL = 1e-12
 
 
 def nnls_normal(gram: np.ndarray, rhs: np.ndarray, passive=None) -> np.ndarray:
     """Solve min_{x >= 0} ||A x - b|| from gram = A^T A, rhs = A^T b.
 
-    ``TOL`` times max(1, ||rhs||_inf) bounds the positive part of the dual
-    vector rhs - gram @ x at the returned solution.  Rank-deficient
-    subproblems are handled with a least-squares solve.  The bool mask
-    ``passive`` is a warm start (Van Benthem & Keenan, J. Chemometrics 2004),
-    taken when the restricted solve on it is strictly positive; otherwise the
-    solver starts cold.  x is the restricted solve on the final passive set,
-    so a start equal to the cold start's final set gives its x bit for bit.
+    ``TOL`` times ||rhs||_inf bounds the positive part of the dual vector
+    rhs - gram @ x at the returned solution.  Rank-deficient subproblems are
+    handled with a least-squares solve; when one leaves the entry just added
+    at 0 with nothing to shrink (a Gram that underflowed to 0), the solver
+    stops with the x it has.  The bool mask ``passive`` is a warm start (Van
+    Benthem & Keenan, J. Chemometrics 2004), taken when the restricted solve
+    on it is strictly positive; otherwise the solver starts cold.  x is the
+    restricted solve on the final passive set, so a start equal to the cold
+    start's final set gives its x bit for bit.
     """
     gram = np.asarray(gram, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -35,7 +39,7 @@ def nnls_normal(gram: np.ndarray, rhs: np.ndarray, passive=None) -> np.ndarray:
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool) if passive is None else np.array(passive, bool).reshape(n)
     dual = rhs.copy()
-    scale = max(1.0, float(np.max(np.abs(rhs))) if n else 1.0)
+    scale = float(np.max(np.abs(rhs))) if n else 0.0
 
     def restricted_solve() -> np.ndarray:
         sub = gram[np.ix_(passive, passive)]
@@ -71,9 +75,11 @@ def nnls_normal(gram: np.ndarray, rhs: np.ndarray, passive=None) -> np.ndarray:
                 x = s
                 break
             shrink = passive & (s <= 0.0) & (x > s)
+            if not shrink.any():
+                return np.maximum(x, 0.0)
             alpha = float(np.min(x[shrink] / (x[shrink] - s[shrink])))
             x = x + alpha * (s - x)
-            drop = passive & (x <= TOL * scale)
+            drop = passive & (x <= TOL * np.max(np.abs(x)))
             x[drop] = 0.0
             passive[drop] = False
             if not passive.any():

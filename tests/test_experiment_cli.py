@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 from dataclasses import fields, replace
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import strategies as st
 
 import marginleak as ml
-from marginleak.cli import main
+from marginleak.cli import build_parser, main
 from marginleak.experiment import (
     RECONSTRUCTION_MATCH_TOL,
     config_from_file,
@@ -188,7 +189,6 @@ CONFIG_KEY_SAMPLES = {
     "mixture_mean_coord": ("-2", -2.0),
     "recon_data_scheme": ('"two-clusters"', "two-clusters"),
     "recon_require_convergence": ("true", True),
-    "out_dir": ('"results/x"', Path("results/x")),
 }
 
 MINIMAL_CONFIG = "dims = [2]\nseeds = [0]\nwidth = 8\n"
@@ -211,7 +211,7 @@ BAD_CONFIGS = {
     "string-slack": MINIMAL_CONFIG + 'margin_slack = "0.1"\n',
     "int-loss-kind": MINIMAL_CONFIG + "loss_kind = 3\n",
     "string-bool": MINIMAL_CONFIG + 'recon_require_convergence = "true"\n',
-    "int-out-dir": MINIMAL_CONFIG + "out_dir = 1\n",
+    "out-dir-key": MINIMAL_CONFIG + 'out_dir = "out"\n',
     "missing-width": "dims = [2]\nseeds = [0]\n",
     "negative-seed": "dims = [2]\nseeds = [0, -1]\nwidth = 8\n",
     "zero-dim": "dims = [0]\nseeds = [0]\nwidth = 8\n",
@@ -244,14 +244,12 @@ class TestFlatConfig:
         init_scale = 1
         loss_kind = "logistic"
         recon_require_convergence = false
-        out_dir = "out"
         """)
         cfg = config_from_file(path)
         assert (cfg.dims, cfg.seeds, cfg.train.width) == ((5, 20), (0, 1, 2), 8)
         assert cfg.margin_slack == 0.2
         assert cfg.train.loss_kind == "logistic"
         assert cfg.recon_require_convergence is False
-        assert cfg.out_dir == Path("out")
         # An integer in a float field becomes a float, as the old reader made it.
         assert "init_scale=1.0," in repr(cfg.train)
 
@@ -264,7 +262,7 @@ class TestFlatConfig:
         train_keys = {f.name for f in fields(ml.TrainConfig)} - {"rng_seed"}
         exp_keys = {f.name for f in fields(ml.ExperimentConfig)} - {"train"}
         assert set(CONFIG_KEY_SAMPLES) == train_keys | exp_keys
-        assert len(CONFIG_KEY_SAMPLES) == 18
+        assert len(CONFIG_KEY_SAMPLES) == 17
         path = write_config(tmp_path / "c.toml", "".join(
             f"{key} = {text}\n" for key, (text, _) in CONFIG_KEY_SAMPLES.items()))
         cfg = config_from_file(path)
@@ -469,6 +467,20 @@ class TestCli:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nope.csv")]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["sample-dataset", "--dim", "2", "--n", "4", "--out", "adir"],
+        ["sample-dataset", "--dim", "2", "--n", "4", "--out", ""],
+        ["train", "--data", "adir"],
+    ], ids=["out-dir", "out-empty", "data-dir"])
+    def test_directory_as_file_exits_2(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        Path("adir").mkdir()
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+        assert not any(Path("adir").iterdir())
+
     def test_runtime_failure_exits_1(self, tmp_path):
         # Zero network: leaked-points rule cannot hold numerically.
         net = ml.NetworkParams(np.zeros((1, 1)), np.zeros(1), np.zeros(1))
@@ -483,26 +495,38 @@ class TestCli:
         ])
         assert code == 1
 
-    def test_env_var_default_out_dir(self, tmp_path, monkeypatch, capsys):
+    def test_default_output_ignores_environment(self, tmp_path, monkeypatch, capsys):
+        # No setting moves a default output: it goes to the working directory.
         monkeypatch.setenv("MARGINLEAK_OUT_DIR", str(tmp_path / "envout"))
-        scores = tmp_path / "scores.csv"
-        scores.write_text("point_id,score\np0,1.0\n")
+        monkeypatch.chdir(tmp_path)
+        Path("s.csv").write_text("point_id,score\np0,1.0\n")
         code = main([
             "attack", "membership", "--rule", "bounded-margin", "--threshold", "0.5",
-            "--scores", str(scores),
+            "--scores", "s.csv",
         ])
         assert code == 0
-        assert (tmp_path / "envout" / "verdicts.csv").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "verdicts.csv"]
 
-    @pytest.mark.parametrize("command", ["sample-dataset", "experiment-margin"])
+    def test_out_dir_only_on_commands_writing_several_files(self):
+        # Every command's parser: the leaves of the subparser tree.
+        def commands(parser, prefix=()):
+            subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            if not subs:
+                yield " ".join(prefix), parser
+            for action in subs:
+                for name, sub in action.choices.items():
+                    yield from commands(sub, (*prefix, name))
+
+        with_out_dir = {name for name, parser in commands(build_parser())
+                        if "--out-dir" in parser._option_string_actions}
+        assert with_out_dir == {"train", "experiment margin", "experiment reconstruct"}
+
+    @pytest.mark.parametrize("command", ["experiment-reconstruct", "experiment-margin"])
     def test_out_dir_naming_a_file_exits_2(self, tmp_path, capsys, command):
         afile = tmp_path / "afile"
         afile.write_text("keep\n")
-        if command == "sample-dataset":
-            argv = ["sample-dataset", "--dim", "2", "--n", "4"]
-        else:
-            config = write_config(tmp_path / "c.toml", MINIMAL_CONFIG)
-            argv = ["experiment", "margin", "--config", str(config)]
+        config = write_config(tmp_path / "c.toml", MINIMAL_CONFIG)
+        argv = ["experiment", command.split("-")[1], "--config", str(config)]
         code = main([*argv, "--out-dir", str(afile)])
         err = capsys.readouterr().err
         assert code == 2
@@ -530,6 +554,11 @@ class TestCli:
         ["train", "--lr-growth", "nan"],
         ["train", "--init-scale", "inf"],
         ["train", "--data", "label-only.csv"],
+        # A command that writes one file names it with --out only.
+        ["verify-kkt", "--out-dir", "out"],
+        ["reconstruct", "--out-dir", "out"],
+        ["membership", "--out-dir", "out"],
+        ["sample-dataset", "--out-dir", "out"],
     ], ids=lambda argv: "_".join([argv[0], argv[-2].lstrip("-"), argv[-1]]))
     def test_bad_margin_or_threshold_exits_2(self, tmp_path, monkeypatch, capsys, argv):
         # Every bad flag value or input named here ends in exit 2 and writes
@@ -555,7 +584,7 @@ class TestCli:
             "sample-dataset": ["sample-dataset", "--dim", "2", "--n", "4", "--out", "out"],
             "train": ["train", "--data", "data.csv", "--out-model", "out"],
         }[argv[0]]
-        if argv[-2] in ("--margin", "--threshold", "--slack"):
+        if argv[-2] in ("--margin", "--threshold", "--slack", "--out-dir"):
             # Rejected by argparse, before any file is read.
             with pytest.raises(SystemExit) as exc_info:
                 main([*inputs, *argv[1:]])
@@ -602,7 +631,7 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [
-        ["train", "--data"],
+        ["train", "--out-dir", "out", "--data"],
         ["verify-kkt", "--model", "model.json", "--data"],
         ["attack", "membership", "--rule", "leaked-points", "--model", "model.json", "--points"],
         ["attack", "membership", "--rule", "leaked-points", "--scores"],
@@ -612,7 +641,7 @@ class TestCli:
         ml.save_network(ml.NetworkParams(np.ones((1, 1)), np.zeros(1), np.ones(1)), "model.json")
         Path("bad.csv").write_bytes(b"\xff\xfe\x00garbage")
         before = sorted(tmp_path.iterdir())
-        code = main([*command, "bad.csv", "--out-dir", "out"])
+        code = main([*command, "bad.csv"])
         err = capsys.readouterr().err.splitlines()
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error: "), err

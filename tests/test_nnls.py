@@ -76,9 +76,45 @@ def test_shape_validation():
         nnls_normal(np.ones((2, 3)), np.ones(2))
 
 
-# The stopping tolerance has an absolute floor (it is relative to
-# max(1, ||rhs||_inf)), so the problems are kept at unit scale: every nonzero
-# entry has magnitude at least 1e-3.
+def test_tiny_column_matches_scipy():
+    # ||rhs||_inf is 1.18e-38: an absolute floor on the stop would return 0.
+    a, b = np.array([[-1.18e-38]]), np.array([-1.0])
+    got = nnls_normal(a.T @ a, a.T @ b)
+    np.testing.assert_allclose(got, scipy.optimize.nnls(a, b)[0], rtol=1e-12)
+    np.testing.assert_allclose(got, [1.0 / 1.18e-38], rtol=1e-12)
+
+
+def test_solution_does_not_depend_on_scale():
+    # x(c A, c b) = x(A, b): the stops are relative to ||rhs||_inf and max|x|.
+    rng = np.random.default_rng(0)
+    problems = []
+    for _ in range(300):
+        m, n = int(rng.integers(1, 13)), int(rng.integers(1, 7))
+        problems.append((rng.normal(size=(m, n)), rng.normal(size=m)))
+    for k in (4, 8, 20, 50, 100, -4, -8, -20, -50, -100):
+        for a, b in problems:
+            want = nnls_normal(a.T @ a, a.T @ b)
+            ac, bc = a * 10.0**k, b * 10.0**k
+            got = nnls_normal(ac.T @ ac, ac.T @ bc)
+            assert np.array_equal(got > 0.0, want > 0.0), k
+            np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-9 * max(1.0, want.max()))
+
+
+@pytest.mark.parametrize("a, b", [([[-2.51e-203]], [-1.0]), ([[-1e-170]], [-1e160])],
+                         ids=["unit-b", "large-b"])
+def test_gram_underflowed_to_zero_returns(a, b):
+    # A^T A underflows to 0 while A^T b does not: the restricted solve leaves
+    # the new entry at 0 with nothing to shrink, and no x can be learned.
+    a, b = np.array(a), np.array(b)
+    assert (a.T @ a)[0, 0] == 0.0 and (a.T @ b)[0] > 0.0
+    np.testing.assert_array_equal(nnls_normal(a.T @ a, a.T @ b), [0.0])
+
+
+# The problems are kept at unit scale: every nonzero entry has magnitude at
+# least 1e-3.  The stops are relative, but the normal equations cannot
+# resolve columns whose scales differ by many orders of magnitude: with
+# A = [[1, -1.14e-105]] and b = [-1], nnls_normal returns 0 (objective 1)
+# where scipy, working on A itself, takes x_2 = 8.8e104 to an objective near 0.
 _entries = st.floats(-10.0, 10.0, allow_nan=False).filter(lambda x: x == 0.0 or abs(x) >= 1e-3)
 
 
