@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FileFormatError
-from .model import LabeledDataset, _read_csv, _write_number_csv
+from .model import LabeledDataset, _block_rows, _read_csv, _write_number_csv
 
 KINDS = ("uniform-sphere", "gaussian", "gaussian-mixture")
 
@@ -98,7 +98,12 @@ def sample(spec: DistributionSpec, n: int) -> SampleBatch:
 
     means = np.array(spec.means)
     comp = rng.choice(len(spec.means), size=n, p=np.array(spec.mixture_weights))
-    points = means[comp] + rng.standard_normal((n, d))
+    # The means are added in row blocks, never as an (n, d) copy; each
+    # element is still one addition of the same two numbers.
+    points = rng.standard_normal((n, d))
+    rows = _block_rows(d)
+    for i in range(0, n, rows):
+        points[i:i + rows] += means[comp[i:i + rows]]
     return SampleBatch(points, comp)
 
 

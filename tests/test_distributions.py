@@ -71,6 +71,24 @@ class TestSample:
         assert ml.sample(ml.DistributionSpec("uniform-sphere", 2), 2).components is None
         assert ml.sample(ml.DistributionSpec("gaussian", 2), 2).components is None
 
+    def test_mixture_adds_means_in_blocks(self):
+        # The same draws as means[comp] + normal, bit for bit, without an
+        # (n, d) copy of the means: the peak stays below two (n, d) arrays.
+        spec = ml.two_gaussian_mixture(1000, rng_seed=5)
+        n, d = 1000, 1000
+        tracemalloc.start()
+        try:
+            batch = ml.sample(spec, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rng = np.random.default_rng(5)
+        comp = rng.choice(2, size=n, p=np.array(spec.mixture_weights))
+        want = np.array(spec.means)[comp] + rng.standard_normal((n, d))
+        assert same_bits(batch.points, want)
+        np.testing.assert_array_equal(batch.components, comp)
+        assert peak < 2 * n * d * 8, f"peak {peak / 1e6:.1f} MB"
+
     def test_n_must_be_positive(self):
         with pytest.raises(ValueError):
             ml.sample(ml.DistributionSpec("gaussian", 2), 0)

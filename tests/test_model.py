@@ -1,6 +1,7 @@
 import base64
 import json
 import struct
+import tracemalloc
 
 import hypothesis
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import marginleak as ml
 from kkt_constructions import params_from_vector, scaled
+from marginleak.model import _block_rows, _forward_arrays
 
 
 def net_1d(neurons):
@@ -57,6 +59,37 @@ class TestForward:
             want = sum(v * max(0.0, float(w @ x) + b)
                        for w, b, v in zip(net.weights, net.biases, net.out_weights))
             assert batch[i] == pytest.approx(want, rel=1e-12)
+
+    def test_block_rows(self):
+        assert [_block_rows(k) for k in (1000, 256, 1 << 17, 1 << 20)] == [128, 512, 16, 16]
+
+    @pytest.mark.parametrize("k", [256, 1000])
+    def test_blocks_agree_with_one_product(self, k):
+        # A tolerance, not bits: whether blocked and one-call products share
+        # bits depends on the BLAS, its thread count and the shape.
+        rng = np.random.default_rng(k)
+        net = random_network(rng, 50, k)
+        b = _block_rows(k)
+        for n in (0, 1, b - 1, b, b + 1, 2 * b + 1, 1000):
+            xs = rng.normal(size=(n, 50))
+            got = ml.forward_batch(net, xs)
+            want = _forward_arrays(xs @ net.weights.T, net.biases, net.out_weights)[2]
+            assert got.shape == (n,)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_memory_does_not_grow_with_rows(self):
+        # One (4000, 1000) activation matrix would take 32 MB; a 128-row
+        # block takes 1 MiB.
+        rng = np.random.default_rng(3)
+        net = random_network(rng, 10, 1000)
+        xs = rng.normal(size=(4000, 10))
+        tracemalloc.start()
+        try:
+            ml.forward_batch(net, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestValidation:
