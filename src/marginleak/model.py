@@ -173,8 +173,6 @@ def forward_batch(net: NetworkParams, xs: np.ndarray) -> np.ndarray:
     xs = _check_inputs(net, xs)
     rows = _block_rows(net.width)
     bounds = [0, *range(rows, len(xs) - 1, rows), len(xs)]
-    if len(bounds) == 2:
-        return _forward_rows(net, xs)
     return np.concatenate([_forward_rows(net, xs[i:j]) for i, j in zip(bounds, bounds[1:])])
 
 

@@ -73,7 +73,8 @@ class TestSample:
 
     def test_mixture_adds_means_in_blocks(self):
         # The same draws as means[comp] + normal, bit for bit, without an
-        # (n, d) copy of the means: the peak stays below two (n, d) arrays.
+        # (n, d) copy of the means: the peak stays near one (n, d) array plus
+        # a 1 MiB block, well below the two (n, d) arrays of the plain sum.
         spec = ml.two_gaussian_mixture(1000, rng_seed=5)
         n, d = 1000, 1000
         tracemalloc.start()
@@ -87,7 +88,7 @@ class TestSample:
         want = np.array(spec.means)[comp] + rng.standard_normal((n, d))
         assert same_bits(batch.points, want)
         np.testing.assert_array_equal(batch.components, comp)
-        assert peak < 2 * n * d * 8, f"peak {peak / 1e6:.1f} MB"
+        assert peak < 1.25 * n * d * 8, f"peak {peak / 1e6:.1f} MB"
 
     def test_n_must_be_positive(self):
         with pytest.raises(ValueError):
