@@ -87,10 +87,18 @@ def sample(spec: DistributionSpec, n: int) -> SampleBatch:
     rng = np.random.default_rng(spec.rng_seed)
     d = spec.dim
 
+    # The sphere's scaling and the mixture's means go in row blocks, in
+    # place: no second (n, d) array is formed, and each element still takes
+    # the same operations on the same numbers as the whole-array expression.
+    rows = _block_rows(d)
     if spec.kind == "uniform-sphere":
-        g = rng.standard_normal((n, d))
-        norms = np.linalg.norm(g, axis=1, keepdims=True)
-        return SampleBatch(np.sqrt(d) * g / norms)
+        points = rng.standard_normal((n, d))
+        for i in range(0, n, rows):
+            block = points[i:i + rows]
+            norms = np.linalg.norm(block, axis=1, keepdims=True)
+            block *= np.sqrt(d)
+            block /= norms
+        return SampleBatch(points)
 
     if spec.kind == "gaussian":
         mu = np.array(spec.means[0]) if spec.means else np.zeros(d)
@@ -98,10 +106,7 @@ def sample(spec: DistributionSpec, n: int) -> SampleBatch:
 
     means = np.array(spec.means)
     comp = rng.choice(len(spec.means), size=n, p=np.array(spec.mixture_weights))
-    # The means are added in row blocks, never as an (n, d) copy; each
-    # element is still one addition of the same two numbers.
     points = rng.standard_normal((n, d))
-    rows = _block_rows(d)
     for i in range(0, n, rows):
         points[i:i + rows] += means[comp[i:i + rows]]
     return SampleBatch(points, comp)

@@ -16,11 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kkt, reconstruct, training
+from . import kkt, membership, reconstruct, training
 from .errors import DegenerateNetworkError, FileFormatError, TrainingDivergedError
-from .model import (
-    LabeledDataset, NetworkParams, _write_csv, forward_batch, to_piecewise_linear,
-)
+from .model import LabeledDataset, _write_csv, to_piecewise_linear
 from .distributions import label_by_component, sample, two_gaussian_mixture
 
 RECONSTRUCTION_MATCH_TOL = 1e-3
@@ -34,6 +32,8 @@ MARGIN_CSV_COLUMNS = (
     "margin",
     "kkt_residual",
     "diverged",
+    "auc",
+    "accuracy",
 )
 
 RECON_CSV_COLUMNS = (
@@ -100,7 +100,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentRecord:
-    """One (dimension, seed) cell of the margin experiment."""
+    """One (dimension, seed) cell of the margin experiment.
+
+    ``auc`` and ``accuracy`` are the known-margin membership attack's, with
+    the cell's training points as members and its test points as fresh.
+    """
 
     dim: int
     seed: int
@@ -109,6 +113,8 @@ class ExperimentRecord:
     final_loss: float
     margin: float
     kkt_residual: float
+    auc: float
+    accuracy: float
     wall_time_s: float
     diverged: bool = False
 
@@ -126,6 +132,8 @@ class AggregateRecord:
     final_loss_mean: float
     margin_mean: float
     kkt_residual_mean: float
+    auc_mean: float
+    accuracy_mean: float
 
 
 @dataclass(frozen=True)
@@ -145,17 +153,18 @@ def _sample_labeled(dim: int, n: int, mean_coord: float, seed: int) -> LabeledDa
 
 
 def margin_fractions(
-    net: NetworkParams, train_points: np.ndarray, test_points: np.ndarray, slack: float
+    train_scores: np.ndarray, test_scores: np.ndarray, slack: float
 ) -> tuple[float, float, float]:
-    """(margin, frac train within the slack band, frac test at or above it)."""
-    train_abs, m = kkt._abs_and_margin(forward_batch(net, train_points))
+    """(margin, frac train within the slack band, frac test at or above it),
+    from the |Phi| scores of the training and the test points."""
+    train_abs, m = kkt._abs_and_margin(train_scores)
     band = (train_abs >= (1.0 - slack) * m) & (train_abs <= (1.0 + slack) * m)
-    above = np.abs(forward_batch(net, test_points)) >= (1.0 - slack) * m
+    above = test_scores >= (1.0 - slack) * m
     return m, float(np.mean(band)), float(np.mean(above))
 
 
 def run_margin_cell(cfg: ExperimentConfig, dim: int, seed: int) -> ExperimentRecord:
-    """Train and score one cell.
+    """Train and score one cell, then run the known-margin attack on it.
 
     A cell whose training diverges or never fits the data (see
     :func:`training.train_non_degenerate`) is recorded with the ``diverged``
@@ -174,15 +183,21 @@ def run_margin_cell(cfg: ExperimentConfig, dim: int, seed: int) -> ExperimentRec
         )
     except (TrainingDivergedError, DegenerateNetworkError):
         return ExperimentRecord(
-            dim, seed, math.nan, math.nan, math.nan, math.nan, math.nan,
-            time.perf_counter() - t0, diverged=True,
+            dim, seed, *[math.nan] * 7, time.perf_counter() - t0, diverged=True,
         )
-    m, frac_train, frac_test = margin_fractions(
-        net, data.points, test, cfg.margin_slack
+    train_scores = membership.membership_scores(net, data.points)
+    test_scores = membership.membership_scores(net, test)
+    m, frac_train, frac_test = margin_fractions(train_scores, test_scores, cfg.margin_slack)
+    _, verdicts = membership.membership_verdicts(
+        "known-margin", np.concatenate([train_scores, test_scores]), margin=m
     )
+    accuracy = float(np.mean(verdicts == (np.arange(verdicts.size) < cfg.n_train)))
     final = trace.final()
-    return ExperimentRecord(dim, seed, frac_train, frac_test, final.loss, m,
-                            final.kkt_residual, time.perf_counter() - t0)
+    return ExperimentRecord(
+        dim, seed, frac_train, frac_test, final.loss, m, final.kkt_residual,
+        membership.score_auc(train_scores, test_scores), accuracy,
+        time.perf_counter() - t0,
+    )
 
 
 def run_margin_experiment(cfg: ExperimentConfig, log=None) -> MarginExperimentResult:
@@ -221,6 +236,8 @@ def run_margin_experiment(cfg: ExperimentConfig, log=None) -> MarginExperimentRe
                 final_loss_mean=float(np.mean([r.final_loss for r in cells])),
                 margin_mean=float(np.mean([r.margin for r in cells])),
                 kkt_residual_mean=float(np.mean([r.kkt_residual for r in cells])),
+                auc_mean=float(np.mean([r.auc for r in cells])),
+                accuracy_mean=float(np.mean([r.accuracy for r in cells])),
             )
         )
     return MarginExperimentResult(tuple(records), tuple(aggregates))
@@ -358,11 +375,12 @@ def write_margin_results_csv(
     """
     rows = [
         [r.dim, r.seed, r.frac_train_on_margin, r.frac_test_on_or_above_margin,
-         r.final_loss, r.margin, r.kkt_residual, int(r.diverged)]
+         r.final_loss, r.margin, r.kkt_residual, int(r.diverged), r.auc, r.accuracy]
         for r in result.records
     ] + [
         [a.dim, "mean", a.frac_train_on_margin_mean, a.frac_test_on_or_above_margin_mean,
-         a.final_loss_mean, a.margin_mean, a.kkt_residual_mean, 0]
+         a.final_loss_mean, a.margin_mean, a.kkt_residual_mean, 0, a.auc_mean,
+         a.accuracy_mean]
         for a in result.aggregates
     ]
     _write_csv(path, MARGIN_CSV_COLUMNS, rows, f"margin-experiment {metadata}")

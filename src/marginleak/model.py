@@ -80,16 +80,6 @@ class NetworkParams:
     def width(self) -> int:
         return self.weights.shape[0]
 
-    @classmethod
-    def from_neurons(cls, neurons) -> "NetworkParams":
-        """Build from an iterable of (w, b, v) triples."""
-        ws, bs, vs = [], [], []
-        for w, b, v in neurons:
-            ws.append(np.atleast_1d(np.asarray(w, dtype=float)))
-            bs.append(float(b))
-            vs.append(float(v))
-        return cls(np.array(ws, dtype=float), np.array(bs), np.array(vs))
-
 
 @dataclass(frozen=True)
 class LabeledDataset:
@@ -381,26 +371,11 @@ def save_network(net: NetworkParams, path) -> None:
     })
 
 
-def _network_v1(doc) -> NetworkParams:
-    # Format 1: one {"w": [...], "b": ..., "v": ...} object per neuron.
-    net = NetworkParams.from_neurons((n["w"], n["b"], n["v"]) for n in doc["neurons"])
-    if net.input_dim != doc["input_dim"] or net.width != doc["width"]:
-        raise FileFormatError("declared input_dim/width do not match neurons")
-    return net
-
-
-def _network_v2(doc) -> NetworkParams:
-    d, k = _positive_int(doc, "input_dim"), _positive_int(doc, "width")
-    return NetworkParams(_decode_array(doc, "weights", (k, d)),
-                         _decode_array(doc, "biases", (k,)),
-                         _decode_array(doc, "out_weights", (k,)))
-
-
 def load_network(path) -> NetworkParams:
-    """Read a model document of format 2 (:func:`save_network`) or format 1.
+    """Read a model document of format 2 (:func:`save_network`).
 
-    The file's own ``format_version`` picks the reader.  Any malformed
-    document, non-finite parameters included, raises :class:`FileFormatError`.
+    Any other ``format_version``, format 1 included, and any malformed
+    document, non-finite parameters included, raise :class:`FileFormatError`.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -408,8 +383,11 @@ def load_network(path) -> NetworkParams:
         raise FileFormatError(f"not a valid model document: {exc}") from exc
     try:
         version = doc["format_version"]
-        if type(version) is not int or version not in (1, MODEL_FORMAT_VERSION):
+        if type(version) is not int or version != MODEL_FORMAT_VERSION:
             raise FileFormatError(f"unsupported model format_version {version!r}")
-        return _network_v1(doc) if version == 1 else _network_v2(doc)
+        d, k = _positive_int(doc, "input_dim"), _positive_int(doc, "width")
+        return NetworkParams(_decode_array(doc, "weights", (k, d)),
+                             _decode_array(doc, "biases", (k,)),
+                             _decode_array(doc, "out_weights", (k,)))
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"malformed model document: {exc}") from exc

@@ -3,6 +3,25 @@ import pytest
 
 import marginleak as ml
 
+# The acceptance criteria print one "ACCEPTANCE ..." line each.  pytest
+# captures them, so they are collected here and repeated in the summary of
+# every run, passing or failing, not only in the sections of failed tests.
+_acceptance_lines = []
+
+
+def pytest_runtest_logreport(report):
+    if report.when == "call":
+        _acceptance_lines.extend(
+            line for line in report.capstdout.splitlines() if line.startswith("ACCEPTANCE")
+        )
+
+
+def pytest_terminal_summary(terminalreporter):
+    if _acceptance_lines:
+        terminalreporter.section("acceptance criteria")
+        for line in _acceptance_lines:
+            terminalreporter.write_line(line)
+
 
 @pytest.fixture(scope="session")
 def symmetric_pair_run():

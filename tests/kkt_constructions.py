@@ -19,6 +19,16 @@ import numpy as np
 from marginleak import LabeledDataset, NetworkParams, forward_batch
 
 
+def from_neurons(neurons) -> NetworkParams:
+    """A network from an iterable of (w, b, v) triples, one per neuron."""
+    ws, bs, vs = [], [], []
+    for w, b, v in neurons:
+        ws.append(np.atleast_1d(np.asarray(w, dtype=float)))
+        bs.append(float(b))
+        vs.append(float(v))
+    return NetworkParams(np.array(ws, dtype=float), np.array(bs), np.array(vs))
+
+
 def parameter_vector(params) -> np.ndarray:
     """The (weights, biases, out_weights) of a network or gradient, flattened."""
     return np.concatenate([params.weights.ravel(), params.biases, params.out_weights])

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 The heavy experiment artifacts (the margin sweep, the high-dimensional attack
-runs, the univariate reconstruction runs) are computed once per session and
-shared.  Criteria and tolerances:
+sweep, the univariate reconstruction and warm-up runs) are computed once per
+session and shared, each by the package's sweep function on its config in
+``configs/``.  Criteria and tolerances:
 
  1. margin sweep, d=100: mean test fraction at/above margin <= 0.10
  2. margin sweep, d=20: mean test fraction strictly below margin in [0.60, 0.95]
@@ -20,21 +21,21 @@ shared.  Criteria and tolerances:
     a duplicated point drives the ratio to >= n
 """
 import math
-from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import marginleak as ml
-from marginleak.experiment import _cell_seeds, _sample_labeled
+from marginleak.experiment import config_from_file
 from kkt_constructions import construction_suite, parameter_vector, scaled, verify_stationarity
 from train_reference import gradient
 
-MARGIN_DIMS = (5, 20, 100, 500)
-MARGIN_SEEDS = tuple(range(10))
-ATTACK_SEEDS = tuple(range(10))
-RECON_SEEDS = tuple(range(25))
-WARMUP_SEEDS = tuple(range(10))
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def desk_config(name: str) -> ml.ExperimentConfig:
+    return config_from_file(CONFIG_DIR / f"{name}_desk.toml")
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:
@@ -45,93 +46,28 @@ def report(criterion: int, passed: bool, detail: str) -> None:
 
 @pytest.fixture(scope="session")
 def margin_sweep():
-    """Width 1000, n=20, 1000 test points, 10 seeds, dims {5, 20, 100, 500}."""
-    train = ml.TrainConfig(
-        width=1000,
-        loss_kind="exponential",
-        init_scale=1e-2,
-        learning_rate=1e-2,
-        lr_growth=1.02,
-        max_steps=2500,
-        loss_target=1e-8,
-        kkt_residual_target=5e-3,
-        checkpoint_every=100,
-    )
-    cfg = ml.ExperimentConfig(
-        dims=MARGIN_DIMS, seeds=MARGIN_SEEDS, train=train, n_train=20, n_test=1000
-    )
-    return ml.run_margin_experiment(cfg)
+    """configs/margin_desk.toml: width 1000, n=20, 1000 test points, 10 seeds,
+    dims {5, 20, 100, 500}."""
+    return ml.run_margin_experiment(desk_config("margin"))
 
 
 @pytest.fixture(scope="session")
-def attack_runs():
-    """Trained d=1000 runs plus the known-margin evaluation on fresh points."""
-    train = ml.TrainConfig(
-        width=256,
-        loss_kind="exponential",
-        init_scale=1e-4,
-        learning_rate=1e-2,
-        lr_growth=1.02,
-        max_steps=2500,
-        loss_target=1e-8,
-        kkt_residual_target=5e-3,
-        checkpoint_every=100,
-    )
-    runs = []
-    for seed in ATTACK_SEEDS:
-        data_seed, test_seed, init_seed = _cell_seeds(seed)
-        data = _sample_labeled(1000, 20, 1.0, data_seed)
-        fresh = ml.sample(ml.two_gaussian_mixture(1000, rng_seed=test_seed), 1000).points
-        net, trace = ml.train(data, replace(train, rng_seed=init_seed))
-        m, _ = ml.margin(net, data)
-        evaluation = ml.evaluate_attack(net, data.points, fresh, "known-margin", margin=m)
-        runs.append((net, data, trace, m, evaluation))
-    return runs
+def attack_sweep():
+    """configs/attack_desk.toml: margin cells at d=1000, k=256; each carries
+    the known-margin attack on its 1000 test points."""
+    return ml.run_margin_experiment(desk_config("attack"))
 
 
 @pytest.fixture(scope="session")
 def recon_runs():
-    """25 univariate runs at n=6, k=64 on two-cluster data."""
-    train = ml.TrainConfig(
-        width=64,
-        loss_kind="exponential",
-        init_scale=1e-4,
-        learning_rate=5e-2,
-        lr_growth=1.02,
-        max_steps=30_000,
-        loss_target=1e-9,
-        kkt_residual_target=1e-3,
-        checkpoint_every=2000,
-    )
-    cfg = ml.ExperimentConfig(
-        dims=(1,),
-        seeds=RECON_SEEDS,
-        train=train,
-        n_train=6,
-        n_test=10,
-        recon_data_scheme="two-clusters",
-        recon_require_convergence=True,
-    )
-    return [ml.run_reconstruction_pipeline(cfg, seed) for seed in RECON_SEEDS]
+    """configs/recon_desk.toml: 25 univariate runs at n=6, k=64 on two-cluster data."""
+    return ml.run_reconstruction_sweep(desk_config("recon"))
 
 
 @pytest.fixture(scope="session")
 def warmup_runs():
-    train = ml.TrainConfig(
-        width=1,
-        loss_kind="exponential",
-        init_scale=1e-4,
-        learning_rate=5e-2,
-        lr_growth=1.02,
-        max_steps=6000,
-        loss_target=1e-9,
-        kkt_residual_target=1e-6,
-        checkpoint_every=200,
-    )
-    cfg = ml.ExperimentConfig(
-        dims=(1,), seeds=WARMUP_SEEDS, train=train, n_train=1, n_test=5
-    )
-    return [ml.run_reconstruction_pipeline(cfg, seed) for seed in WARMUP_SEEDS]
+    """configs/warmup_desk.toml: 10 single-point runs at k=1."""
+    return ml.run_reconstruction_sweep(desk_config("warmup"))
 
 
 def aggregate_for(result, dim):
@@ -141,14 +77,14 @@ def aggregate_for(result, dim):
 def test_criterion_1_membership_separation_d100(margin_sweep):
     agg = aggregate_for(margin_sweep, 100)
     value = agg.frac_test_on_or_above_margin_mean
-    report(1, agg.n_cells == len(MARGIN_SEEDS) and value <= 0.10,
+    report(1, agg.n_cells == len(desk_config("margin").seeds) and value <= 0.10,
            f"mean frac_test_on_or_above_margin at d=100 is {value:.4f} (need <= 0.10)")
 
 
 def test_criterion_2_membership_separation_d20(margin_sweep):
     agg = aggregate_for(margin_sweep, 20)
     below = 1.0 - agg.frac_test_on_or_above_margin_mean
-    report(2, agg.n_cells == len(MARGIN_SEEDS) and 0.60 <= below <= 0.95,
+    report(2, agg.n_cells == len(desk_config("margin").seeds) and 0.60 <= below <= 0.95,
            f"mean fraction of test points below margin at d=20 is {below:.4f} "
            f"(need within [0.60, 0.95])")
 
@@ -161,14 +97,12 @@ def test_criterion_3_margin_fraction_trend(margin_sweep):
            f"(need d=500 >= 0.85 and >= d=5)")
 
 
-def test_criterion_4_attack_quality_d1000(attack_runs):
-    aucs = [ev.auc for *_, ev in attack_runs]
-    accs = [ev.accuracy for *_, ev in attack_runs]
-    mean_auc = float(np.mean(aucs))
-    mean_acc = float(np.mean(accs))
-    report(4, mean_auc >= 0.99 and mean_acc >= 0.95,
-           f"known-margin attack at d=1000: AUC {mean_auc:.4f} (need >= 0.99), "
-           f"accuracy {mean_acc:.4f} (need >= 0.95)")
+def test_criterion_4_attack_quality_d1000(attack_sweep):
+    agg = aggregate_for(attack_sweep, 1000)
+    report(4, agg.n_cells == len(desk_config("attack").seeds)
+           and agg.auc_mean >= 0.99 and agg.accuracy_mean >= 0.95,
+           f"known-margin attack at d=1000: AUC {agg.auc_mean:.4f} (need >= 0.99), "
+           f"accuracy {agg.accuracy_mean:.4f} (need >= 0.95)")
 
 
 def test_criterion_5_reconstruction_success_rate(recon_runs):
@@ -207,19 +141,15 @@ def test_criterion_7_dual_estimation(recon_runs, warmup_runs):
            f"residual {trained_worst:.2e} (< 1e-2)")
 
 
-def test_criterion_8_margin_lower_bound(margin_sweep, attack_runs, recon_runs):
+def test_criterion_8_margin_lower_bound(margin_sweep, attack_sweep, recon_runs):
     threshold = 1.0 / (2.0 * math.e)
     floor = 1.0 / math.e
     checked = 0
     ok = True
-    for rec in margin_sweep.records:
+    for rec in margin_sweep.records + attack_sweep.records:
         if not rec.diverged and rec.final_loss < threshold:
             checked += 1
             ok = ok and rec.margin > floor
-    for _, _, trace, m, _ in attack_runs:
-        if trace.final().loss < threshold:
-            checked += 1
-            ok = ok and m > floor
     for r in recon_runs:
         if r.final_loss < threshold:
             checked += 1

@@ -71,6 +71,24 @@ class TestSample:
         assert ml.sample(ml.DistributionSpec("uniform-sphere", 2), 2).components is None
         assert ml.sample(ml.DistributionSpec("gaussian", 2), 2).components is None
 
+    @pytest.mark.parametrize("n, d", [(1000, 1000), (30, 10_000), (300, 999), (5000, 17),
+                                      (7, 3), (1, 1)])
+    def test_sphere_scales_in_blocks(self, n, d):
+        # The same draws as sqrt(d) * g / norms, bit for bit.  Where the
+        # result dwarfs a block, the peak stays near it: no second (n, d)
+        # array is formed (the whole-array expression peaks at 3 n d 8 bytes).
+        spec = ml.DistributionSpec("uniform-sphere", d, rng_seed=5)
+        tracemalloc.start()
+        try:
+            batch = ml.sample(spec, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        g = np.random.default_rng(5).standard_normal((n, d))
+        assert same_bits(batch.points, np.sqrt(d) * g / np.linalg.norm(g, axis=1, keepdims=True))
+        if n * d >= 10**6:
+            assert peak < 1.25 * n * d * 8, f"peak {peak / 1e6:.1f} MB"
+
     def test_mixture_adds_means_in_blocks(self):
         # The same draws as means[comp] + normal, bit for bit, without an
         # (n, d) copy of the means: the peak stays near one (n, d) array plus

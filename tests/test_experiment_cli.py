@@ -1,6 +1,8 @@
 import argparse
 import csv
+import importlib.util
 import json
+import math
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -10,19 +12,22 @@ import pytest
 from hypothesis import strategies as st
 
 import marginleak as ml
+from marginleak import experiment, training
 from marginleak.cli import build_parser, main
 from marginleak.experiment import (
     RECONSTRUCTION_MATCH_TOL,
     config_from_file,
     margin_fractions,
     match_candidates,
+    run_margin_cell,
     write_margin_plot_csv,
     write_margin_results_csv,
 )
 from kkt_constructions import opposite_pair_network
 from test_model import SPECIAL_FLOATS, encode, same_bits
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 
 def tiny_margin_config(seeds=(0, 1)):
@@ -43,6 +48,7 @@ class TestMarginExperiment:
         assert [(r.dim, r.seed) for r in result.records if r.diverged] == [(2, 1)]
         for rec in result.records:
             if rec.diverged:
+                assert math.isnan(rec.auc) and math.isnan(rec.accuracy)
                 continue
             assert 0.0 <= rec.frac_train_on_margin <= 1.0
             assert 0.0 <= rec.frac_test_on_or_above_margin <= 1.0
@@ -50,6 +56,23 @@ class TestMarginExperiment:
             cells = [r for r in result.records if r.dim == agg.dim and not r.diverged]
             want = np.mean([c.frac_train_on_margin for c in cells])
             assert agg.frac_train_on_margin_mean == pytest.approx(want, abs=1e-12)
+            assert agg.auc_mean == np.mean([c.auc for c in cells])
+            assert agg.accuracy_mean == np.mean([c.accuracy for c in cells])
+
+    def test_cell_reports_the_known_margin_attack(self):
+        # The cell's attack figures are evaluate_attack's on the cell's own
+        # network, training points and test points.
+        cfg = tiny_margin_config()
+        rec = run_margin_cell(cfg, 3, 0)
+        data_seed, test_seed, init_seed = experiment._cell_seeds(0)
+        data = experiment._sample_labeled(3, cfg.n_train, cfg.mixture_mean_coord, data_seed)
+        test = ml.sample(ml.two_gaussian_mixture(3, cfg.mixture_mean_coord, rng_seed=test_seed),
+                         cfg.n_test).points
+        net, _, _ = ml.train_non_degenerate(data, replace(cfg.train, rng_seed=init_seed))
+        m, _ = ml.margin(net, data)
+        ev = ml.evaluate_attack(net, data.points, test, "known-margin", margin=m)
+        assert (rec.margin, rec.auc, rec.accuracy) == (m, ev.auc, ev.accuracy)
+        assert 0.5 < rec.auc < 1.0 and rec.accuracy < 1.0
 
     def test_single_training_point_defines_margin(self):
         train = ml.TrainConfig(width=16, init_scale=1e-2, max_steps=300,
@@ -60,11 +83,11 @@ class TestMarginExperiment:
 
     def test_margin_fractions_use_the_package_margin(self):
         net, data, _, _ = opposite_pair_network([2.0])
-        test = np.array([[0.0], [5.0]])
-        assert margin_fractions(net, data.points, test, 0.1)[0] == ml.margin(net, data)[0]
+        test = ml.membership_scores(net, np.array([[0.0], [5.0]]))
+        scores = ml.membership_scores(net, data.points)
+        assert margin_fractions(scores, test, 0.1)[0] == ml.margin(net, data)[0]
         with pytest.raises(ml.DegenerateNetworkError):
-            margin_fractions(ml.NetworkParams.from_neurons([([1.0], 0.0, 0.0)]),
-                             data.points, test, 0.1)
+            margin_fractions(np.zeros(2), test, 0.1)
 
     def test_ordering_sorted_by_dim_then_seed(self):
         cfg = tiny_margin_config(seeds=(1, 0))
@@ -283,26 +306,30 @@ class TestFlatConfig:
             tomllib.loads(path.read_text())
             assert isinstance(config_from_file(path), ml.ExperimentConfig), path
 
-    def test_desk_configs(self):
-        margin = ml.ExperimentConfig(
-            dims=(5, 20, 100, 500), seeds=tuple(range(10)),
-            train=ml.TrainConfig(width=1000, loss_kind="exponential", init_scale=1e-2,
-                                 learning_rate=1e-2, lr_growth=1.02, max_steps=2500,
-                                 loss_target=1e-8, kkt_residual_target=5e-3,
-                                 checkpoint_every=100),
-            n_train=20, n_test=1000, margin_slack=0.1, mixture_mean_coord=1.0,
-        )
-        recon = ml.ExperimentConfig(
-            dims=(1,), seeds=tuple(range(25)),
-            train=ml.TrainConfig(width=64, loss_kind="exponential", init_scale=1e-4,
-                                 learning_rate=5e-2, lr_growth=1.02, max_steps=30000,
-                                 loss_target=1e-9, kkt_residual_target=1e-3,
-                                 checkpoint_every=2000),
-            n_train=6, n_test=10, recon_data_scheme="two-clusters",
-            recon_require_convergence=True,
-        )
-        assert config_from_file(CONFIG_DIR / "margin_desk.toml") == margin
-        assert config_from_file(CONFIG_DIR / "recon_desk.toml", overrides={"dims": (1,)}) == recon
+    def test_benchmark_runs_the_shipped_settings(self, monkeypatch):
+        # perfbench/workloads.py types its settings out; they must stay the
+        # desk configs'.  Constructing a workload patches
+        # training.train_non_degenerate, so monkeypatch restores it after.
+        monkeypatch.setattr(training, "train_non_degenerate", training.train_non_degenerate)
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        monkeypatch.setattr(workloads.AttackD1000, "catalogue_size", 1)
+
+        margin = config_from_file(CONFIG_DIR / "margin_desk.toml",
+                                  overrides={"dims": (100,), "seeds": (0,)})
+        assert workloads.MarginD100(0).cfg == margin
+        recon = config_from_file(CONFIG_DIR / "recon_desk.toml", overrides={"seeds": (0,)})
+        assert workloads.Recon1D(0).cfg == recon
+        attack = config_from_file(CONFIG_DIR / "attack_desk.toml")
+        assert workloads.AttackD1000(0).train_cfg == attack.train
+        for entry in range(workloads.Recon1D.catalogue_size):
+            data_seed = experiment._cell_seeds(entry)[0]
+            want = experiment._two_cluster_1d_dataset(recon.n_train, data_seed)
+            got = workloads.two_cluster_dataset(recon.n_train, data_seed)
+            assert np.array_equal(got.points, want.points)
+            assert np.array_equal(got.labels, want.labels)
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = write_config(tmp_path / "c.toml", BAD_CONFIGS["duplicate-key"])
@@ -668,7 +695,7 @@ class TestCli:
     ], ids=lambda command: command[-3])
     @pytest.mark.parametrize("case", [
         "bad-base64", "one-float-short", "width-2.5", "width-true", "format-version-3",
-        "format-version-true", "encoded-nan",
+        "format-version-true", "encoded-nan", "format-1",
     ])
     def test_malformed_model_exits_2(self, tmp_path, monkeypatch, capsys, command, case):
         # A format-2 model of width 2 on d=1, spoiled one way.
@@ -684,6 +711,8 @@ class TestCli:
             "format-version-3": {"format_version": 3},
             "format-version-true": {"format_version": True},
             "encoded-nan": {"out_weights": encode([1.0, float("nan")])},
+            "format-1": {"format_version": 1, "neurons": [{"w": [1.0], "b": 0.0, "v": 1.0},
+                                                          {"w": [-1.0], "b": 0.0, "v": 1.0}]},
         }[case])
         Path("model.json").write_text(json.dumps(doc))
         ml.write_dataset_csv(

@@ -61,11 +61,11 @@ def test_candidates_csv(tmp_path):
 
 def margin_result():
     records = (
-        ml.ExperimentRecord(5, 0, 0.5, 0.1, 1e-9, 2.5, 0.01, 3.0),
-        ml.ExperimentRecord(5, 1, math.nan, math.nan, math.nan, math.nan, math.nan, 1.0,
-                            diverged=True),
+        ml.ExperimentRecord(5, 0, 0.5, 0.1, 1e-9, 2.5, 0.01, 0.96, 0.75, 3.0),
+        ml.ExperimentRecord(5, 1, *[math.nan] * 7, 1.0, diverged=True),
     )
-    aggregates = (experiment.AggregateRecord(5, 1, 0.5, 0.0, 0.1, 0.0, 1e-9, 2.5, 0.01),)
+    aggregates = (experiment.AggregateRecord(5, 1, 0.5, 0.0, 0.1, 0.0, 1e-9, 2.5, 0.01,
+                                             0.96, 0.75),)
     return ml.MarginExperimentResult(records, aggregates)
 
 
@@ -75,10 +75,10 @@ def test_margin_results_csv(tmp_path):
     assert path.read_bytes() == (
         b"# margin-experiment k=v\n"
         b"d,seed,frac_train_on_margin,frac_test_on_or_above_margin,final_loss,margin,"
-        b"kkt_residual,diverged\r\n"
-        b"5,0,0.5,0.1,1e-09,2.5,0.01,0\r\n"
-        b"5,1,nan,nan,nan,nan,nan,1\r\n"
-        b"5,mean,0.5,0.1,1e-09,2.5,0.01,0\r\n"
+        b"kkt_residual,diverged,auc,accuracy\r\n"
+        b"5,0,0.5,0.1,1e-09,2.5,0.01,0,0.96,0.75\r\n"
+        b"5,1,nan,nan,nan,nan,nan,1,nan,nan\r\n"
+        b"5,mean,0.5,0.1,1e-09,2.5,0.01,0,0.96,0.75\r\n"
     )
 
 

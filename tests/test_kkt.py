@@ -9,6 +9,7 @@ import marginleak as ml
 from marginleak.experiment import _sample_labeled, _two_cluster_1d_dataset
 from kkt_constructions import (
     construction_suite,
+    from_neurons,
     margin_values,
     opposite_pair_network,
     reference_estimate_lambdas,
@@ -21,7 +22,7 @@ from kkt_constructions import (
 
 def identity_1d_network():
     # relu(x) - relu(-x) = x
-    return ml.NetworkParams.from_neurons([([1.0], 0.0, 1.0), ([-1.0], 0.0, -1.0)])
+    return from_neurons([([1.0], 0.0, 1.0), ([-1.0], 0.0, -1.0)])
 
 
 class TestMargin:

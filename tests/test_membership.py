@@ -5,7 +5,7 @@ import pytest
 
 import marginleak as ml
 from marginleak.membership import EvaluationRow, score_auc
-from kkt_constructions import scaled, shared_pattern_network
+from kkt_constructions import from_neurons, scaled, shared_pattern_network
 
 
 def zero_network(d=2):
@@ -39,7 +39,7 @@ class TestMembershipScore:
 
 def scoring_network():
     # relu(x) - relu(-x) = x: score is |x|.
-    return ml.NetworkParams.from_neurons([([1.0], 0.0, 1.0), ([-1.0], 0.0, -1.0)])
+    return from_neurons([([1.0], 0.0, 1.0), ([-1.0], 0.0, -1.0)])
 
 
 def verdicts(rule, xs, net=None, **bound):
@@ -128,7 +128,7 @@ class TestEvaluateAttack:
         assert ev.true_negatives + ev.false_positives == 3
 
     def test_identical_scores_give_half_auc(self):
-        const = ml.NetworkParams.from_neurons([([0.0], 1.0, 1.0)])
+        const = from_neurons([([0.0], 1.0, 1.0)])
         ev = ml.evaluate_attack(
             const, np.array([[1.0]]), np.array([[2.0], [3.0]]), "known-margin", margin=1.0
         )

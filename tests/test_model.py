@@ -9,12 +9,8 @@ import pytest
 from hypothesis import strategies as st
 
 import marginleak as ml
-from kkt_constructions import params_from_vector, scaled
+from kkt_constructions import from_neurons, params_from_vector, scaled
 from marginleak.model import _block_rows, _forward_arrays
-
-
-def net_1d(neurons):
-    return ml.NetworkParams.from_neurons(neurons)
 
 
 def pl_value(pl, xs):
@@ -31,20 +27,20 @@ def random_network(rng, d, k, scale=1.0):
 
 class TestForward:
     def test_zero_out_weights_give_zero(self):
-        net = net_1d([([1.0], 0.5, 0.0), ([2.0], -1.0, 0.0)])
+        net = from_neurons([([1.0], 0.5, 0.0), ([2.0], -1.0, 0.0)])
         assert ml.forward_batch(net, [[3.0]]).tolist() == [0.0]
 
     def test_single_neuron(self):
-        net = net_1d([([1.0], 0.0, 1.0)])
+        net = from_neurons([([1.0], 0.0, 1.0)])
         assert ml.forward_batch(net, [[2.0]]).tolist() == [2.0]
 
     def test_two_neurons(self):
-        net = net_1d([([1.0], 0.0, 1.0), ([1.0], -1.0, -1.0)])
+        net = from_neurons([([1.0], 0.0, 1.0), ([1.0], -1.0, -1.0)])
         # max(0, 2) - max(0, 1) = 1
         assert ml.forward_batch(net, [[2.0]]).tolist() == [1.0]
 
     def test_dimension_mismatch_rejected(self):
-        net = net_1d([([1.0], 0.0, 1.0)])
+        net = from_neurons([([1.0], 0.0, 1.0)])
         for xs in ([1.0, 2.0], [[1.0, 2.0]], np.zeros((3, 2))):
             with pytest.raises(ml.DimensionMismatchError):
                 ml.forward_batch(net, xs)
@@ -102,7 +98,7 @@ class TestValidation:
             ml.NetworkParams(np.ones((2, 3)), np.zeros(3), np.ones(2))
 
     def test_immutable_arrays(self):
-        net = net_1d([([1.0], 0.0, 1.0)])
+        net = from_neurons([([1.0], 0.0, 1.0)])
         with pytest.raises(ValueError):
             net.weights[0, 0] = 2.0
 
@@ -113,15 +109,15 @@ class TestValidation:
 
 class TestBreakpoints:
     def test_single_neuron_ratio(self):
-        net = net_1d([([2.0], -4.0, 1.0)])
+        net = from_neurons([([2.0], -4.0, 1.0)])
         assert ml.to_piecewise_linear(net).breakpoints.tolist() == [2.0]
 
     def test_zero_weight_excluded(self):
-        net = net_1d([([0.0], 1.0, 1.0), ([1.0], -1.0, 1.0)])
+        net = from_neurons([([0.0], 1.0, 1.0), ([1.0], -1.0, 1.0)])
         assert ml.to_piecewise_linear(net).breakpoints.tolist() == [1.0]
 
     def test_two_neurons_sorted(self):
-        net = net_1d([([1.0], -1.0, 1.0), ([-1.0], -3.0, 1.0)])
+        net = from_neurons([([1.0], -1.0, 1.0), ([-1.0], -3.0, 1.0)])
         assert ml.to_piecewise_linear(net).breakpoints.tolist() == [-3.0, 1.0]
 
     def test_requires_univariate(self):
@@ -141,13 +137,13 @@ class TestBreakpoints:
 
 class TestPiecewiseLinear:
     def test_single_relu(self):
-        pl = ml.to_piecewise_linear(net_1d([([1.0], 0.0, 1.0)]))
+        pl = ml.to_piecewise_linear(from_neurons([([1.0], 0.0, 1.0)]))
         assert pl.breakpoints.tolist() == [0.0]
         assert pl.slopes.tolist() == [0.0, 1.0]
         assert pl.intercepts.tolist() == [0.0, 0.0]
 
     def test_all_zero_out_weights(self):
-        pl = ml.to_piecewise_linear(net_1d([([1.0], 0.5, 0.0), ([2.0], -1.0, 0.0)]))
+        pl = ml.to_piecewise_linear(from_neurons([([1.0], 0.5, 0.0), ([2.0], -1.0, 0.0)]))
         assert pl.breakpoints.size == 0
         assert pl.slopes.tolist() == [0.0]
         assert pl.intercepts.tolist() == [0.0]
@@ -162,7 +158,7 @@ class TestPiecewiseLinear:
         np.testing.assert_allclose(pl_value(pl, xs), want, rtol=1e-9, atol=1e-12)
 
     def test_dead_weight_constant_neuron_folds_into_intercept(self):
-        net = net_1d([([0.0], 1.0, 2.0), ([1.0], 0.0, 1.0)])
+        net = from_neurons([([0.0], 1.0, 2.0), ([1.0], 0.0, 1.0)])
         pl = ml.to_piecewise_linear(net)
         assert pl.breakpoints.tolist() == [0.0]
         assert pl.intercepts.tolist() == [2.0, 2.0]
@@ -176,7 +172,7 @@ class TestPiecewiseLinear:
             ml.PiecewiseLinear(np.array([0.0, 1.0]), np.array([0.0, 0.0]), np.array([0.0, 0.0]))
 
     def test_coinciding_breakpoints_merge(self):
-        net = net_1d([([1.0], -1.0, 1.0), ([2.0], -2.0, 1.0), ([1.0], 1.0, 1.0)])
+        net = from_neurons([([1.0], -1.0, 1.0), ([2.0], -2.0, 1.0), ([1.0], 1.0, 1.0)])
         pl = ml.to_piecewise_linear(net)
         assert pl.breakpoints.tolist() == [-1.0, 1.0]
 
@@ -233,7 +229,7 @@ def test_piecewise_form_with_coincident_and_dead_kinks(seed, n_locs, kinds):
             w, b = 0.0, float(rng.normal())
         v = 0.0 if kind == "silent" else float(rng.normal())
         neurons.append(([w], b, v))
-    net = net_1d(neurons)
+    net = from_neurons(neurons)
     pl = ml.to_piecewise_linear(net)
     assert np.all(np.diff(pl.breakpoints) > 0.0)
     xs = np.concatenate([rng.uniform(-10.0, 10.0, 200), locs, locs * (1.0 + 1e-12)])
@@ -279,16 +275,19 @@ class TestModelFile:
         with pytest.raises(ml.FileFormatError):
             ml.load_network(path)
 
-    def test_declared_shape_must_match(self, tmp_path):
-        path = tmp_path / "bad.json"
+    def test_format_1_rejected(self, tmp_path):
+        path = tmp_path / "v1.json"
         path.write_text(
             json.dumps(
-                {"format_version": 1, "input_dim": 2, "width": 1,
+                {"format_version": 1, "input_dim": 1, "width": 1,
                  "neurons": [{"w": [1.0], "b": 0.0, "v": 1.0}]}
             )
         )
-        with pytest.raises(ml.FileFormatError):
+        with pytest.raises(ml.FileFormatError, match="unsupported model format_version 1"):
             ml.load_network(path)
+
+    def test_declared_shape_must_match(self, tmp_path):
+        path = tmp_path / "bad.json"
         path.write_text(
             json.dumps(
                 {"format_version": 2, "input_dim": 2, "width": 1, "weights": encode([1.0]),
@@ -339,17 +338,7 @@ def test_model_file_matches_json_module_and_round_trips(tmp_path, d, k, values):
         "out_weights": encode(net.out_weights.tolist()),
     }
     assert path.read_bytes() == (json.dumps(doc, indent=1) + "\n").encode()
-    # The format-1 document of the same network, as format-1 writers wrote
-    # it, loads to the same bits too.
-    v1 = {
-        "format_version": 1, "input_dim": d, "width": k,
-        "neurons": [{"w": list(map(float, w)), "b": float(b), "v": float(v)}
-                    for w, b, v in zip(net.weights, net.biases, net.out_weights)],
-    }
-    v1_path = tmp_path / "model_v1.json"
-    v1_path.write_text(json.dumps(v1, indent=1) + "\n")
-    for written in (path, v1_path):
-        back = ml.load_network(written)
-        assert same_bits(back.weights, net.weights)
-        assert same_bits(back.biases, net.biases)
-        assert same_bits(back.out_weights, net.out_weights)
+    back = ml.load_network(path)
+    assert same_bits(back.weights, net.weights)
+    assert same_bits(back.biases, net.biases)
+    assert same_bits(back.out_weights, net.out_weights)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import marginleak as ml
-from kkt_constructions import scaled
+from kkt_constructions import from_neurons, scaled
 
 
 def v_shape_network():
@@ -13,14 +13,14 @@ def v_shape_network():
     Piecewise values: 1 for x < -1, down to -1 at x = 0, back to 1 at x = 1,
     then constant.  The constant +1 outside comes from a dead-weight neuron.
     """
-    return ml.NetworkParams.from_neurons(
+    return from_neurons(
         [([1.0], 1.0, -2.0), ([1.0], 0.0, 4.0), ([1.0], -1.0, -2.0), ([0.0], 1.0, 1.0)]
     )
 
 
 def flat_alternation_network():
     """Flat at +1 on [0, 1], ramp down, flat at -1 on [2, 3]."""
-    return ml.NetworkParams.from_neurons(
+    return from_neurons(
         [([-1.0], 0.0, -1.0), ([0.0], 1.0, 1.0), ([1.0], -1.0, -2.0),
          ([1.0], -2.0, 2.0), ([1.0], -3.0, -1.0)]
     )
@@ -28,16 +28,16 @@ def flat_alternation_network():
 
 class TestRecoverSingle:
     def test_positive_slope(self):
-        net = ml.NetworkParams.from_neurons([([1.0], 0.0, 1.0)])
+        net = from_neurons([([1.0], 0.0, 1.0)])
         assert ml.recover_single(net, 1.0) == pytest.approx(1.0)
 
     def test_negative_out_weight(self):
-        net = ml.NetworkParams.from_neurons([([1.0], -3.0, -2.0)])
+        net = from_neurons([([1.0], -3.0, -2.0)])
         # -2 (x - 3) = -4 on the active side x > 3 -> x = 5
         assert ml.recover_single(net, 4.0) == pytest.approx(5.0)
 
     def test_negative_weight_active_side(self):
-        net = ml.NetworkParams.from_neurons([([-1.0], 0.0, 1.0)])
+        net = from_neurons([([-1.0], 0.0, 1.0)])
         assert ml.recover_single(net, 2.0) == pytest.approx(-2.0)
 
     def test_recovered_point_is_on_margin(self):
@@ -46,19 +46,19 @@ class TestRecoverSingle:
             w, b, v = rng.normal(size=3)
             if abs(w) < 1e-3 or abs(v) < 1e-3:
                 continue
-            net = ml.NetworkParams.from_neurons([([w], b, v)])
+            net = from_neurons([([w], b, v)])
             m = float(rng.uniform(0.5, 3.0))
             x = ml.recover_single(net, m)
             assert abs(ml.forward_batch(net, [[x]])[0]) == pytest.approx(m, rel=1e-9)
 
     def test_degenerate_rejected(self):
         with pytest.raises(ml.DegenerateNetworkError):
-            ml.recover_single(ml.NetworkParams.from_neurons([([0.0], 1.0, 1.0)]), 1.0)
+            ml.recover_single(from_neurons([([0.0], 1.0, 1.0)]), 1.0)
         with pytest.raises(ml.DegenerateNetworkError):
-            ml.recover_single(ml.NetworkParams.from_neurons([([1.0], 1.0, 0.0)]), 1.0)
+            ml.recover_single(from_neurons([([1.0], 1.0, 0.0)]), 1.0)
 
     def test_wrong_shape_rejected(self):
-        two = ml.NetworkParams.from_neurons([([1.0], 0.0, 1.0), ([1.0], 1.0, 1.0)])
+        two = from_neurons([([1.0], 0.0, 1.0), ([1.0], 1.0, 1.0)])
         with pytest.raises(ml.DimensionMismatchError):
             ml.recover_single(two, 1.0)
 
@@ -184,4 +184,4 @@ def test_margin_must_be_positive_and_finite(m):
     with pytest.raises(ValueError):
         ml.analyze_intervals(pl, m)
     with pytest.raises(ValueError):
-        ml.recover_single(ml.NetworkParams.from_neurons([([1.0], 0.0, 1.0)]), m)
+        ml.recover_single(from_neurons([([1.0], 0.0, 1.0)]), m)

@@ -15,7 +15,7 @@ from marginleak.training import (
     loss_values,
     train,
 )
-from kkt_constructions import parameter_vector, params_from_vector
+from kkt_constructions import from_neurons, parameter_vector, params_from_vector
 from train_reference import gradient, reference_train
 
 
@@ -55,7 +55,7 @@ class TestLoss:
         assert ml.loss(zero_network(), data, "logistic") == pytest.approx(math.log(2.0))
 
     def test_unit_margin_exponential(self):
-        net = ml.NetworkParams.from_neurons([([1.0], 0.0, 1.0)])
+        net = from_neurons([([1.0], 0.0, 1.0)])
         data = dataset([[1.0]], [1])  # y * Phi = 1
         assert ml.loss(net, data, "exponential") == pytest.approx(math.exp(-1.0))
 
@@ -81,7 +81,7 @@ class TestGradient:
     def test_single_active_neuron_hand_formula(self):
         w, b, v = 1.5, 0.5, 2.0
         x, y = 1.0, 1.0
-        net = ml.NetworkParams.from_neurons([([w], b, v)])
+        net = from_neurons([([w], b, v)])
         data = dataset([[x]], [y])
         g = gradient(net, data, "exponential")
         z = y * v * (w * x + b)
@@ -518,7 +518,7 @@ class TestExpEdge:
     def test_gradient_matches_hand_formula(self, kind, z):
         # One neuron x -> max(0, x) on the point x = |z| labeled sign(z).
         y = math.copysign(1.0, z)
-        net = ml.NetworkParams.from_neurons([([1.0], 0.0, 1.0)])
+        net = from_neurons([([1.0], 0.0, 1.0)])
         g = gradient(net, dataset([[abs(z)]], [y]), kind)
         coeff = float(_loss_derivative(np.array([z]), kind)[0]) * y
         assert g.biases[0] == coeff
