@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--slack", type=_nonnegative_finite, default=kkt.DEFAULT_SUPPORT_SLACK)
-    p.add_argument("--loss", choices=training.LOSS_KINDS, default="logistic")
+    p.add_argument("--loss", choices=training.LOSS_KINDS, default="exponential")
     p.add_argument("--out", default="kkt_report.json")
     p.set_defaults(func=_cmd_verify_kkt)
 

@@ -158,7 +158,7 @@ def margin_fractions(
     """(margin, frac train within the slack band, frac test at or above it),
     from the |Phi| scores of the training and the test points."""
     train_abs, m = kkt._abs_and_margin(train_scores)
-    band = (train_abs >= (1.0 - slack) * m) & (train_abs <= (1.0 + slack) * m)
+    band = train_abs <= (1.0 + slack) * m  # m is the least |score|: no lower edge
     above = test_scores >= (1.0 - slack) * m
     return m, float(np.mean(band)), float(np.mean(above))
 

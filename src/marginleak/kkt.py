@@ -41,10 +41,11 @@ _REFINE_MAX_PASSES = 20
 # the reported duals.
 _REFINE_TIE_REL = 1e-12
 
-# Only picks the residual method; neither forms anything (k, d)-wide.  Above
-# this support size times parameter count: the quadratic form, unrefined, so it
-# reads higher than a refined one; below it: the direct form, kinks refined.
-_MATERIALIZE_LIMIT = 4_000_000
+# Kinks are refined only while the support size times the parameter count is
+# at most this.  It caps the cost of the refinement passes, and it keeps the
+# outputs recorded for d >= 500 runs: their later checkpoints are not refined,
+# so their residuals read higher than refined ones would.
+_REFINE_LIMIT = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -86,10 +87,9 @@ class KktReport:
     # "direct" forms theta - sum lambda_i y_i g_i split at the span of the
     # rows [x_i, 1]; "direct+kink-refinement" also refined the subgradients
     # at kinks and reports the smallest residual over its passes;
-    # "quadratic-form" expands the square through the Gram matrix (large
-    # networks, no refinement); "empty-support": no point near the margin,
-    # residual reported as 1; "zero-margin": some point sits at output 0, so
-    # the margin is 0 and no stationarity is defined, residual reported as 1.
+    # "empty-support": no point near the margin, residual reported as 1;
+    # "zero-margin": some point sits at output 0, so the margin is 0 and no
+    # stationarity is defined, residual reported as 1.
     residual_method: str = "direct"
 
 
@@ -238,8 +238,9 @@ def estimate_lambdas(
     duals are fixed to zero.  The residual is ||theta - sum lambda_i y_i g_i||
     relative to ||theta||, minimized jointly over the duals and over the
     admissible subgradient values at (point, neuron) pairs whose
-    pre-activation sits at a kink.  An empty support yields residual 1, zero
-    duals and the method ``empty-support``; a margin of 0 (some point at
+    pre-activation sits at a kink, while the support size times the parameter
+    count is at most ``_REFINE_LIMIT``.  An empty support yields residual 1,
+    zero duals and the method ``empty-support``; a margin of 0 (some point at
     output 0) yields the same with support () and the method
     ``zero-margin``.  The reported sigma_primes matrix keeps the strict 0/1
     convention regardless of any kink refinement.
@@ -293,18 +294,13 @@ def estimate_from_row_space(data: LabeledDataset, pre, act, z, v, span,
     inner_x = s_x @ s_x.T + 1.0
     fixed = inner_x, s_act @ s_act.T, s_act @ v  # the same for every subgradient pass
 
-    gram, rhs = _dual_normal(s_y, s_sigma, s_pre, v, *fixed)
-    lam = nnls_normal(gram, rhs, None if start is None else start[idx])
+    lam = nnls_normal(*_dual_normal(s_y, s_sigma, s_pre, v, *fixed),
+                      None if start is None else start[idx])
 
     s_span = span(idx)
-    theta_norm = s_span[3]
-    if idx.size * v.size * (data.dim + 2) > _MATERIALIZE_LIMIT:
-        method = "quadratic-form"
-        res_sq = theta_norm**2 - 2.0 * lam @ rhs + lam @ gram @ lam
-        residual = math.sqrt(max(res_sq, 0.0)) / theta_norm
-    else:
-        method = "direct"
-        residual = _span_residual(s_span, s_sigma, s_act, lam * s_y, v)
+    method = "direct"
+    residual = _span_residual(s_span, s_sigma, s_act, lam * s_y, v)
+    if idx.size * v.size * (data.dim + 2) <= _REFINE_LIMIT:
         kink_scale = np.maximum(np.max(np.abs(pre), axis=0), np.finfo(float).tiny)
         kink = np.abs(s_pre) <= KINK_REL_TOL * kink_scale
         if kink.any():
@@ -327,7 +323,7 @@ def diagnostic_bounds(
     report: KktReport,
     net: NetworkParams,
     data: LabeledDataset,
-    loss_kind: str = "logistic",
+    loss_kind: str = "exponential",
 ) -> DiagnosticBounds:
     """Evaluate per-point dual-sum bounds and the margin lower-bound check.
 
@@ -400,7 +396,7 @@ def analyze(
     net: NetworkParams,
     data: LabeledDataset,
     support_slack: float = DEFAULT_SUPPORT_SLACK,
-    loss_kind: str = "logistic",
+    loss_kind: str = "exponential",
 ) -> KktReport:
     """Full report: dual estimate plus diagnostics."""
     report = estimate_lambdas(net, data, support_slack)

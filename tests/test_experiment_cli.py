@@ -89,6 +89,18 @@ class TestMarginExperiment:
         with pytest.raises(ml.DegenerateNetworkError):
             margin_fractions(np.zeros(2), test, 0.1)
 
+    @pytest.mark.parametrize("slack", [-0.1, 0.0, 1e-12, 0.1, 0.5, 1.0 - 1e-12, 1.0])
+    def test_train_band_is_the_two_sided_band(self, slack):
+        # Scores of both signs, tied at the margin and on the band's upper
+        # edge (for slack >= 0; a negative slack empties both bands).
+        rng = np.random.default_rng(5)
+        train = rng.uniform(0.3, 0.9, size=200) * np.where(rng.random(200) < 0.5, -1.0, 1.0)
+        train[:4] = [0.3, -0.3, (1.0 + slack) * 0.3, -(1.0 + slack) * 0.3]
+        a = np.abs(train)
+        m = float(np.min(a))
+        two_sided = (a >= (1.0 - slack) * m) & (a <= (1.0 + slack) * m)
+        assert margin_fractions(train, np.zeros(3), slack)[:2] == (m, float(np.mean(two_sided)))
+
     def test_ordering_sorted_by_dim_then_seed(self):
         cfg = tiny_margin_config(seeds=(1, 0))
         result = ml.run_margin_experiment(cfg)
@@ -410,6 +422,19 @@ class TestCli:
         assert code == 0
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["stationarity_residual"] < 1e-8
+
+    def test_verify_kkt_defaults_to_the_training_loss(self, tmp_path):
+        # Without --loss, the report describes the loss `train` uses by default.
+        net, data, _, _ = opposite_pair_network([1.0], k_pos=2, k_neg=2)
+        ml.save_network(net, tmp_path / "model.json")
+        ml.write_dataset_csv(data, tmp_path / "data.csv")
+        assert main(["verify-kkt", "--model", str(tmp_path / "model.json"),
+                     "--data", str(tmp_path / "data.csv"),
+                     "--out", str(tmp_path / "report.json")]) == 0
+        diag = json.loads((tmp_path / "report.json").read_text())["diagnostics"]
+        assert ml.TrainConfig(width=1).loss_kind == "exponential"
+        assert diag["loss_value"] == ml.loss(net, data, "exponential")
+        assert diag["loss_value"] != ml.loss(net, data, "logistic")
 
     def test_attack_reconstruct_candidates(self, tmp_path):
         from test_reconstruct import v_shape_network

@@ -387,14 +387,17 @@ class TestBatchedKinkRefinement:
 
 
 class TestResidualMethod:
-    def test_quadratic_form_above_the_size_gate(self, monkeypatch):
+    def test_direct_residual_above_the_size_gate(self, monkeypatch):
+        # Above the gate the kinks are not refined, but the residual is the
+        # same direct one: at an exact stationary point it stays at rounding.
         net, data, _, _ = opposite_pair_network([0.6, -0.8], k_pos=2, k_neg=3)
-        direct = ml.estimate_lambdas(net, data)
-        monkeypatch.setattr(ml.kkt, "_MATERIALIZE_LIMIT", 0)
-        quad = ml.estimate_lambdas(net, data)
-        assert quad.residual_method == "quadratic-form"
-        assert direct.residual_method != "quadratic-form"
-        assert quad.stationarity_residual < 1e-6
+        below = ml.estimate_lambdas(net, data)
+        monkeypatch.setattr(ml.kkt, "_REFINE_LIMIT", 0)
+        above = ml.estimate_lambdas(net, data)
+        assert below.residual_method == "direct+kink-refinement"
+        assert above.residual_method == "direct"
+        assert above.stationarity_residual == below.stationarity_residual
+        assert above.stationarity_residual < 1e-12
 
     def test_empty_support_has_its_own_method(self):
         net = identity_1d_network()

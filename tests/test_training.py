@@ -15,7 +15,9 @@ from marginleak.training import (
     loss_values,
     train,
 )
-from kkt_constructions import from_neurons, parameter_vector, params_from_vector
+from kkt_constructions import (
+    from_neurons, output_gradient, parameter_vector, params_from_vector,
+)
 from train_reference import gradient, reference_train
 
 
@@ -403,17 +405,35 @@ class TestRowSpaceMatchesWeightSpace:
         ref_trace, _ = self.check(data, cfg)
         assert ref_trace.stop_reason == "zero-gradient"
 
-    def test_quadratic_form_at_every_checkpoint(self, monkeypatch):
-        # With the gate at 0 every support takes the quadratic form, whose
-        # ||theta||^2 training takes from its row-space view; at d=200 the
-        # init has a part outside the span of the 20 rows.
-        monkeypatch.setattr(ml.kkt, "_MATERIALIZE_LIMIT", 0)
+    def test_unrefined_residual_at_every_checkpoint(self, monkeypatch):
+        # With the gate at 0 no support is refined, so every residual is the
+        # strict-subgradient one, whose ||theta||^2 training takes from its
+        # row-space view; at d=200 the init has a part outside the span of
+        # the 20 rows.
+        monkeypatch.setattr(ml.kkt, "_REFINE_LIMIT", 0)
         data, kwargs = ROW_SPACE_CASES["n20-d200"]
         cfg = ml.TrainConfig(**kwargs)
         init = ml.init_small(data.dim, cfg.width, cfg.init_scale, cfg.rng_seed)
         assert ml.kkt._row_span(data.points, init.weights, init.biases)[2] > 0.0
         ref_trace, _ = self.check(data, cfg)
-        assert {r.residual_method for r in ref_trace.records[1:]} == {"quadratic-form"}
+        assert {r.residual_method for r in ref_trace.records[1:]} == {"direct"}
+
+    def test_unrefined_residual_matches_the_quadratic_expansion(self, monkeypatch):
+        # The span split against the expansion ||theta||^2 - 2 lambda . (G theta)
+        # + lambda . (G G^T) lambda from the same duals, with the rows
+        # g_i = y_i grad Phi(x_i) of G formed in weight space.
+        monkeypatch.setattr(ml.kkt, "_REFINE_LIMIT", 0)
+        data, kwargs = ROW_SPACE_CASES["n20-d200"]
+        net, _ = ml.train(data, ml.TrainConfig(**kwargs))
+        report = ml.estimate_lambdas(net, data)
+        assert report.residual_method == "direct"
+        idx = list(report.support_indices)
+        g = np.array([y * output_gradient(net, x)
+                      for x, y in zip(data.points[idx], data.labels[idx])])
+        lam, theta = report.lambdas[idx], parameter_vector(net)
+        res_sq = theta @ theta - 2.0 * lam @ (g @ theta) + lam @ (g @ g.T) @ lam
+        assert report.stationarity_residual == pytest.approx(
+            math.sqrt(res_sq) / math.sqrt(theta @ theta), rel=1e-10, abs=0.0)
 
     def test_warm_start_from_the_last_checkpoint_changes_no_bits(self, monkeypatch):
         # Each checkpoint's first NNLS starts from the positive duals of the
