@@ -340,7 +340,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileFormatError, FileNotFoundError, IsADirectoryError) as exc:
+    except (FileFormatError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MarginLeakError as exc:

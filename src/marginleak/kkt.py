@@ -18,7 +18,7 @@ import numpy as np
 from . import training
 from .errors import DegenerateNetworkError
 from .model import (
-    LabeledDataset, NetworkParams, _check_inputs, _forward_arrays, _write_json,
+    LabeledDataset, NetworkParams, _check_inputs, _forward_arrays, _row_blocks, _write_json,
     forward_batch,
 )
 from .nnls import nnls_normal
@@ -220,13 +220,20 @@ def _refine_kink_subgradients(
 
 
 def _row_span(xs: np.ndarray, weights: np.ndarray, biases: np.ndarray):
-    """(coord, xq, perp_sq) of :func:`estimate_from_row_space` for [W, b]."""
+    """(coord, xq, perp_sq) of :func:`estimate_from_row_space` for [W, b].
+
+    The part of [W, b] outside the span is formed in place, in the row
+    blocks of :func:`forward_batch`, so no second (k, d + 1) array is made.
+    """
     xt = np.column_stack([xs, np.ones(xs.shape[0])])
     q = np.linalg.qr(xt.T)[0]
     wb = np.column_stack([weights, biases])
     coord = wb @ q
-    perp = np.subtract(wb, coord @ q.T, out=wb) if q.shape[1] <= xs.shape[1] else wb[:0]
-    return coord, xt @ q, float(np.vdot(perp, perp))
+    if q.shape[1] > xs.shape[1]:  # the points span every direction
+        return coord, xt @ q, 0.0
+    for i, j in _row_blocks(*wb.shape):
+        wb[i:j] -= coord[i:j] @ q.T
+    return coord, xt @ q, float(np.vdot(wb, wb))
 
 
 def estimate_lambdas(

@@ -9,7 +9,7 @@ convention that every CSV and JSON file of the package follows.
 """
 from __future__ import annotations
 
-import base64
+import binascii
 import csv
 import json
 import math
@@ -146,6 +146,19 @@ def _block_rows(width: int) -> int:
     return 1 << max(4, (_BLOCK_VALUES // width).bit_length() - 1)
 
 
+def _row_blocks(rows: int, width: int):
+    """(start, stop) of each row block of a (rows, width) product.
+
+    Blocks hold ``_block_rows(width)`` rows, so an output that fits in one
+    block is one product, and a 1-row tail joins the block before it: numpy
+    computes a 1-row product with a matrix-vector routine that rounds
+    differently.
+    """
+    step = _block_rows(width)
+    bounds = [0, *range(step, rows - 1, step), rows]
+    return zip(bounds, bounds[1:])
+
+
 def _forward_rows(net: NetworkParams, xs: np.ndarray) -> np.ndarray:
     # The fresh linear part also takes the activations: one (rows, k) array.
     lin = xs @ net.weights.T
@@ -155,15 +168,12 @@ def _forward_rows(net: NetworkParams, xs: np.ndarray) -> np.ndarray:
 def forward_batch(net: NetworkParams, xs: np.ndarray) -> np.ndarray:
     """Evaluate the network at every row of ``xs`` (shape (n, d)).
 
-    Rows go through in blocks of ``_block_rows(width)``, so no (n, k) array
-    is formed.  An input that fits in one block is one product, and a 1-row
-    tail joins the block before it: numpy computes a 1-row product with a
-    matrix-vector routine that rounds differently.
+    Rows go through in the blocks of :func:`_row_blocks`, so no (n, k) array
+    is formed.
     """
     xs = _check_inputs(net, xs)
-    rows = _block_rows(net.width)
-    bounds = [0, *range(rows, len(xs) - 1, rows), len(xs)]
-    return np.concatenate([_forward_rows(net, xs[i:j]) for i, j in zip(bounds, bounds[1:])])
+    return np.concatenate([_forward_rows(net, xs[i:j])
+                           for i, j in _row_blocks(len(xs), net.width)])
 
 
 def _require_univariate(net: NetworkParams) -> None:
@@ -330,15 +340,15 @@ def _write_json(path, doc) -> None:
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
 
-def _encode_array(a: np.ndarray) -> str:
-    """Base64 of the little-endian float64 bytes of ``a``, in C order."""
-    return base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode("ascii")
-
-
 def _decode_array(doc, key: str, shape: tuple[int, ...]) -> np.ndarray:
-    """The array :func:`_encode_array` wrote under ``doc[key]``, of ``shape``."""
+    """The array :func:`save_network` wrote under ``doc[key]``, of ``shape``.
+
+    The text is popped from ``doc``, so it is freed once decoded.
+    """
     try:
-        raw = base64.b64decode(doc[key], validate=True)
+        # base64.b64decode(text, validate=True) without its ASCII copy of
+        # the text: the same bytes, and the same errors.
+        raw = binascii.a2b_base64(doc.pop(key), strict_mode=True)
     except (TypeError, ValueError) as exc:
         raise FileFormatError(f"{key} is not base64 text: {exc}") from exc
     want = 8 * math.prod(shape)
@@ -354,21 +364,30 @@ def _positive_int(doc, key: str) -> int:
     return value
 
 
+# Arrays are encoded in chunks of this many bytes.  It is a multiple of 3, so
+# the encodings of the chunks concatenate to the encoding of the whole array.
+_B64_CHUNK = 3 << 16
+
+
 def save_network(net: NetworkParams, path) -> None:
     """Write the versioned model document (format 2, bit-exact).
 
     Each array is stored as base64 of its little-endian IEEE-754 float64
     bytes in C order: ``weights`` of shape (width, input_dim), ``biases`` and
-    ``out_weights`` of shape (width,).
+    ``out_weights`` of shape (width,).  The file holds the bytes of
+    :func:`_write_json` for that document, written as they are encoded, so
+    no copy of the document is formed.
     """
-    _write_json(path, {
-        "format_version": MODEL_FORMAT_VERSION,
-        "input_dim": net.input_dim,
-        "width": net.width,
-        "weights": _encode_array(net.weights),
-        "biases": _encode_array(net.biases),
-        "out_weights": _encode_array(net.out_weights),
-    })
+    with Path(path).open("wb") as fh:
+        fh.write(f'{{\n "format_version": {MODEL_FORMAT_VERSION},\n'
+                 f' "input_dim": {net.input_dim},\n "width": {net.width}'.encode())
+        for key in ("weights", "biases", "out_weights"):
+            raw = memoryview(np.ascontiguousarray(getattr(net, key), dtype="<f8")).cast("B")
+            fh.write(f',\n "{key}": "'.encode())
+            for i in range(0, len(raw), _B64_CHUNK):
+                fh.write(binascii.b2a_base64(raw[i:i + _B64_CHUNK], newline=False))
+            fh.write(b'"')
+        fh.write(b"\n}\n")
 
 
 def load_network(path) -> NetworkParams:

@@ -293,7 +293,12 @@ def train(data: LabeledDataset, cfg: TrainConfig) -> tuple[NetworkParams, TrainT
                 elif loss_now >= LR_GROWTH_FREEZE_LOSS:
                     lr *= cfg.lr_growth
 
-    return NetworkParams(w0 + c.T @ xs, b0 + c.sum(axis=0), v), trace
+    # W is formed once, and the init is dropped before NetworkParams copies
+    # it: the sum, added in place, has the bits of w0 + c.T @ xs.
+    w = c.T @ xs
+    w += w0
+    del init, w0
+    return NetworkParams(w, b0 + c.sum(axis=0), v), trace
 
 
 def train_non_degenerate(

@@ -523,15 +523,36 @@ class TestCli:
         ["sample-dataset", "--dim", "2", "--n", "4", "--out", "adir"],
         ["sample-dataset", "--dim", "2", "--n", "4", "--out", ""],
         ["train", "--data", "adir"],
-    ], ids=["out-dir", "out-empty", "data-dir"])
+        ["train", "--data", "afile/x.csv"],
+        ["sample-dataset", "--dim", "2", "--n", "4", "--out", "afile/x.csv"],
+        ["train", "--data", "afile", "--out-model", "afile/x.json"],
+        ["sample-dataset", "--dim", "2", "--n", "4", "--out", "locked/x.csv"],
+        ["train", "--data", "locked/x.csv"],
+    ], ids=["out-dir", "out-empty", "data-dir", "data-through-file", "out-through-file",
+            "out-model-through-file", "out-denied", "data-denied"])
     def test_directory_as_file_exits_2(self, tmp_path, monkeypatch, capsys, argv):
+        # "afile" is a dataset file, so a path through it is no file at all.
+        # Root ignores file modes, so opening a path under "locked" is
+        # refused by a stand-in for Path.open.
         monkeypatch.chdir(tmp_path)
         Path("adir").mkdir()
+        ml.write_dataset_csv(
+            ml.LabeledDataset(np.array([[-1.0], [1.0]]), np.array([-1.0, 1.0])), "afile")
+        content = Path("afile").read_bytes()
+        path_open = Path.open
+
+        def guarded_open(path, *args, **kwargs):
+            if path.parts[:1] == ("locked",):
+                raise PermissionError(13, "Permission denied", str(path))
+            return path_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", guarded_open)
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
-        assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
         assert not any(Path("adir").iterdir())
+        assert Path("afile").read_bytes() == content
 
     def test_runtime_failure_exits_1(self, tmp_path):
         # Zero network: leaked-points rule cannot hold numerically.
@@ -720,7 +741,7 @@ class TestCli:
     ], ids=lambda command: command[-3])
     @pytest.mark.parametrize("case", [
         "bad-base64", "one-float-short", "width-2.5", "width-true", "format-version-3",
-        "format-version-true", "encoded-nan", "format-1",
+        "format-version-true", "encoded-nan", "format-1", "weights-int", "non-ascii-base64",
     ])
     def test_malformed_model_exits_2(self, tmp_path, monkeypatch, capsys, command, case):
         # A format-2 model of width 2 on d=1, spoiled one way.
@@ -738,6 +759,8 @@ class TestCli:
             "encoded-nan": {"out_weights": encode([1.0, float("nan")])},
             "format-1": {"format_version": 1, "neurons": [{"w": [1.0], "b": 0.0, "v": 1.0},
                                                           {"w": [-1.0], "b": 0.0, "v": 1.0}]},
+            "weights-int": {"weights": 5},
+            "non-ascii-base64": {"weights": "AAAAAAAA8D8AAAAAAADw\u00e9w=="},
         }[case])
         Path("model.json").write_text(json.dumps(doc))
         ml.write_dataset_csv(

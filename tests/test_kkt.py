@@ -7,6 +7,7 @@ import pytest
 
 import marginleak as ml
 from marginleak.experiment import _sample_labeled, _two_cluster_1d_dataset
+from marginleak.model import _block_rows, _row_blocks
 from kkt_constructions import (
     construction_suite,
     from_neurons,
@@ -18,6 +19,7 @@ from kkt_constructions import (
     single_point_network,
     verify_stationarity,
 )
+from test_training import ROW_SPACE_CASES
 
 
 def identity_1d_network():
@@ -384,6 +386,31 @@ class TestBatchedKinkRefinement:
         np.testing.assert_array_equal(seen[0][rows, cols].view(np.int64), want.view(np.int64))
         assert np.any(g == 0.0) and np.any((g > 0.0) & (rhs == 0.0) & np.signbit(rhs))
         assert np.any((want > 0.0) & (want < 1.0))
+
+
+@pytest.mark.parametrize("case, width, n_blocks", [
+    *((name, kwargs["width"], 1) for name, (_, kwargs) in sorted(ROW_SPACE_CASES.items())),
+    ("n20-d200", 2 * _block_rows(201) + 1, 2),
+])
+def test_row_span_blocks_agree_with_the_whole_array(case, width, n_blocks):
+    # Training's initial [W, b] on the row-space cases, and at a width that
+    # splits d = 200 into two row blocks, a 1-row tail joining the second.
+    # A tolerance, not bits: with two BLAS threads a blocked product may
+    # round apart from the whole one.
+    data, kwargs = ROW_SPACE_CASES[case]
+    init = ml.init_small(data.dim, width, kwargs["init_scale"], kwargs["rng_seed"])
+    xs = data.points
+    coord, xq, perp_sq = ml.kkt._row_span(xs, init.weights, init.biases)
+    xt = np.column_stack([xs, np.ones(data.size)])
+    q = np.linalg.qr(xt.T)[0]
+    wb = np.column_stack([init.weights, init.biases])
+    want = wb @ q
+    perp = wb - want @ q.T if q.shape[1] <= data.dim else wb[:0]
+    np.testing.assert_allclose(coord, want, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(xq, xt @ q, rtol=1e-12, atol=0)
+    assert perp_sq == pytest.approx(float(np.vdot(perp, perp)), rel=1e-12, abs=0)
+    blocks = list(_row_blocks(width, data.dim + 1))
+    assert len(blocks) == n_blocks and blocks[-1][1] - blocks[-1][0] > 1
 
 
 class TestResidualMethod:

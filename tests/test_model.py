@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import marginleak as ml
 from kkt_constructions import from_neurons, params_from_vector, scaled
-from marginleak.model import _block_rows, _forward_arrays
+from marginleak.model import _B64_CHUNK, _block_rows, _forward_arrays
 
 
 def pl_value(pl, xs):
@@ -297,6 +297,31 @@ class TestModelFile:
         with pytest.raises(ml.FileFormatError, match="weights holds 8 bytes, expected 16"):
             ml.load_network(path)
 
+    # At k = d = 1000 the weights take 8 MB and their base64 text 10.7 MB.
+    def test_save_forms_no_copy_of_the_document(self, tmp_path):
+        net = random_network(np.random.default_rng(5), 1000, 1000)
+        tracemalloc.start()
+        try:
+            ml.save_network(net, tmp_path / "model.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_load_peaks_below_three_networks(self, tmp_path):
+        # Parsing holds the file's text beside the document; each array's
+        # text is freed once decoded, before the network copies the arrays.
+        path = tmp_path / "model.json"
+        ml.save_network(random_network(np.random.default_rng(5), 1000, 1000), path)
+        tracemalloc.start()
+        try:
+            net = ml.load_network(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = net.weights.nbytes + net.biases.nbytes + net.out_weights.nbytes
+        assert peak <= 3 * size, f"peak {peak / size:.2f} networks"
+
 
 def encode(values) -> str:
     """Base64 of little-endian float64 ``values``, packed by ``struct``."""
@@ -328,11 +353,15 @@ def same_bits(a, b):
 @hypothesis.example(d=1, k=1, values=(SPECIAL_FLOATS * 4)[:24])
 @hypothesis.example(d=4, k=4, values=(SPECIAL_FLOATS * 4)[:24])
 def test_model_file_matches_json_module_and_round_trips(tmp_path, d, k, values):
-    net = params_from_vector(np.array(values[: k * (d + 2)]), d, k)
+    check_model_file(tmp_path, params_from_vector(np.array(values[: k * (d + 2)]), d, k))
+
+
+def check_model_file(tmp_path, net):
+    """The file of ``net`` has the json module's bytes and loads to the same bits."""
     path = tmp_path / "model.json"
     ml.save_network(net, path)
     doc = {
-        "format_version": 2, "input_dim": d, "width": k,
+        "format_version": 2, "input_dim": net.input_dim, "width": net.width,
         "weights": encode(net.weights.ravel().tolist()),
         "biases": encode(net.biases.tolist()),
         "out_weights": encode(net.out_weights.tolist()),
@@ -342,3 +371,17 @@ def test_model_file_matches_json_module_and_round_trips(tmp_path, d, k, values):
     assert same_bits(back.weights, net.weights)
     assert same_bits(back.biases, net.biases)
     assert same_bits(back.out_weights, net.out_weights)
+
+
+# Arrays are encoded in chunks of _B64_CHUNK bytes.  The weights take less
+# than one chunk, exactly one, and two chunks and 8 bytes; at d = 1 the
+# biases and out_weights take one chunk and 8 bytes too.
+CHUNK_FLOATS = _B64_CHUNK // 8
+
+
+@pytest.mark.parametrize("k, d", [
+    (2, CHUNK_FLOATS // 2 - 1), (24, CHUNK_FLOATS // 24), (1, 2 * CHUNK_FLOATS + 1),
+    (CHUNK_FLOATS + 1, 1),
+], ids=["below-one-chunk", "one-chunk", "two-chunks-and-8-bytes", "vectors-over-one-chunk"])
+def test_model_file_bytes_across_encoding_chunks(tmp_path, k, d):
+    check_model_file(tmp_path, random_network(np.random.default_rng(k + d), d, k))
